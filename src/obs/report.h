@@ -36,9 +36,6 @@ struct ReportRow {
   double gen_s = 0.0;
   double interp_s = 0.0;
   double solve_s = 0.0;
-  // Distributed-fleet attribution: which worker earned the verdict (empty
-  // outside fleet runs; a Worker column renders only when some row has one).
-  std::string worker;
   // Counterexample drill-down (empty cx_contract = none).
   std::string cx_contract;
   std::string cx_function;

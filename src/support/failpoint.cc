@@ -1,7 +1,7 @@
 #include "src/support/failpoint.h"
 
-#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <random>
@@ -50,10 +50,9 @@ std::atomic<bool> g_any_armed{false};
 
 const std::vector<std::string>& AllSites() {
   static const std::vector<std::string> kSites = {
-      kSolverDecision, kCacheLookup,    kCacheInsert,  kPoolTask,
-      kExternCall,     kBoogieLower,    kDaemonAccept, kDaemonParse,
+      kSolverDecision, kCacheLookup,    kCacheInsert,   kPoolTask,
+      kExternCall,     kBoogieLower,    kDaemonAccept,  kDaemonParse,
       kDaemonEnqueue,  kDaemonDispatch, kDaemonRespond, kDaemonDrain,
-      kDistDispatch,   kDistResult,     kDistWorkerCrash, kDistMerge,
   };
   return kSites;
 }
@@ -105,47 +104,29 @@ Status Arm(std::string_view spec) {
   SiteConfig config;
   if (mode_str == "at" || mode_str == "after") {
     config.mode = mode_str == "at" ? Mode::kAtNth : Mode::kAfterNth;
-    char* end = nullptr;
-    errno = 0;
-    config.n = std::strtoll(arg.c_str(), &end, 10);
-    if (errno == ERANGE) {
-      return Status::Error(
-          StrCat("hit count '", arg, "' in fail-point spec overflows a 64-bit integer"));
-    }
-    if (end == arg.c_str() || *end != '\0' || config.n < (config.mode == Mode::kAtNth ? 1 : 0)) {
-      return Status::Error(StrCat("bad hit count '", arg, "' in fail-point spec"));
+    Status parsed = ParseInt64(arg, config.mode == Mode::kAtNth ? 1 : 0,
+                               std::numeric_limits<int64_t>::max(), &config.n);
+    if (!parsed.ok()) {
+      return Status::Error(StrCat("bad hit count in fail-point spec: ", parsed.message()));
     }
   } else if (mode_str == "p") {
     config.mode = Mode::kProbability;
-    char* end = nullptr;
-    errno = 0;
-    config.probability = std::strtod(arg.c_str(), &end);
-    if (errno == ERANGE) {
-      return Status::Error(
-          StrCat("probability '", arg, "' in fail-point spec is out of double range"));
-    }
-    if (end == arg.c_str() || *end != '\0' || config.probability < 0.0 ||
-        config.probability > 1.0) {
-      return Status::Error(StrCat("bad probability '", arg, "' in fail-point spec"));
+    Status parsed = ParseDouble(arg, 0.0, 1.0, &config.probability);
+    if (!parsed.ok()) {
+      return Status::Error(StrCat("bad probability in fail-point spec: ", parsed.message()));
     }
   } else {
     return Status::Error(StrCat("unknown fail-point mode '", mode_str,
                                 "' (want at=, after=, or p=)"));
   }
 
-  uint64_t seed = 0;
+  int64_t seed = 0;
   for (const std::string& extra : extras) {
     if (extra.rfind("seed=", 0) == 0) {
-      const char* digits = extra.c_str() + 5;
-      char* end = nullptr;
-      errno = 0;
-      seed = std::strtoull(digits, &end, 10);
-      if (errno == ERANGE) {
-        return Status::Error(
-            StrCat("seed '", extra.substr(5), "' in fail-point spec overflows a 64-bit integer"));
-      }
-      if (end == digits || *end != '\0' || extra.find('-', 5) != std::string::npos) {
-        return Status::Error(StrCat("bad seed '", extra.substr(5), "' in fail-point spec"));
+      Status parsed =
+          ParseInt64(extra.substr(5), 0, std::numeric_limits<int64_t>::max(), &seed);
+      if (!parsed.ok()) {
+        return Status::Error(StrCat("bad seed in fail-point spec: ", parsed.message()));
       }
     } else if (extra == "action=abort") {
       config.action = Action::kAbort;
@@ -155,7 +136,7 @@ Status Arm(std::string_view spec) {
       return Status::Error(StrCat("unknown fail-point option '", extra, "'"));
     }
   }
-  config.rng.seed(seed);
+  config.rng.seed(static_cast<uint64_t>(seed));
 
   Registry& registry = TheRegistry();
   std::lock_guard<std::mutex> lock(registry.mu);

@@ -1,5 +1,5 @@
-// The flat-JSON-line dialect shared by the daemon wire protocol, the trace
-// shard files, and every other line-oriented exchange format in the tree:
+// The flat-JSON-line dialect shared by the daemon wire protocol, the verdict
+// journal, and every other line-oriented exchange format in the tree:
 // one JSON object per line, string / number / bool / null values only (no
 // nesting), unknown keys skipped, so either side of an exchange can be newer
 // than the other without breaking it.

@@ -1,7 +1,10 @@
 #include "src/support/str_util.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace icarus {
 
@@ -116,6 +119,52 @@ int CountNonBlankLines(std::string_view text) {
     }
   }
   return count;
+}
+
+namespace {
+
+// strtoll/strtod skip leading whitespace; a flag value that starts with it
+// (or is empty) is malformed here.
+bool StartsWithNumberChar(const std::string& text) {
+  return !text.empty() && std::isspace(static_cast<unsigned char>(text[0])) == 0;
+}
+
+}  // namespace
+
+Status ParseInt64(std::string_view text, int64_t lo, int64_t hi, int64_t* out) {
+  std::string buf(text);
+  char* end = nullptr;
+  errno = 0;
+  long long value = std::strtoll(buf.c_str(), &end, 10);
+  if (!StartsWithNumberChar(buf) || end != buf.c_str() + buf.size()) {
+    return Status::Error(StrCat("'", buf, "' is not an integer"));
+  }
+  if (errno == ERANGE) {
+    return Status::Error(StrCat("'", buf, "' overflows a 64-bit integer"));
+  }
+  if (value < lo || value > hi) {
+    return Status::Error(StrCat("'", buf, "' is outside [", lo, ", ", hi, "]"));
+  }
+  *out = value;
+  return Status::Ok();
+}
+
+Status ParseDouble(std::string_view text, double lo, double hi, double* out) {
+  std::string buf(text);
+  char* end = nullptr;
+  errno = 0;
+  double value = std::strtod(buf.c_str(), &end);
+  if (!StartsWithNumberChar(buf) || end != buf.c_str() + buf.size()) {
+    return Status::Error(StrCat("'", buf, "' is not a number"));
+  }
+  if (errno == ERANGE) {
+    return Status::Error(StrCat("'", buf, "' is out of double range"));
+  }
+  if (!(value >= lo && value <= hi)) {
+    return Status::Error(StrCat("'", buf, "' is outside [", lo, ", ", hi, "]"));
+  }
+  *out = value;
+  return Status::Ok();
 }
 
 }  // namespace icarus

@@ -11,6 +11,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/support/status.h"
+
 namespace icarus {
 
 // printf-style formatting into a std::string.
@@ -47,6 +49,14 @@ std::string Indent(std::string_view text, int spaces);
 
 // Counts non-blank lines; used to report DSL LoC the way Figure 12 does.
 int CountNonBlankLines(std::string_view text);
+
+// Strict numeric parsing for command-line flags and fail-point specs. All of
+// `text` must be one number (base 10 for integers): no empty string, no
+// leading whitespace, no trailing bytes. A value the type cannot hold
+// (strtoll/strtod ERANGE), NaN, or a value outside [lo, hi] is an error that
+// names the text; `*out` is written only on success.
+Status ParseInt64(std::string_view text, int64_t lo, int64_t hi, int64_t* out);
+Status ParseDouble(std::string_view text, double lo, double hi, double* out);
 
 }  // namespace icarus
 

@@ -118,9 +118,6 @@ struct GeneratorResult {
   std::string unit_fp;
   int64_t budget_decisions = 0;
   double budget_seconds = 0.0;
-  // Distributed-fleet attribution (schema v6): which worker earned this
-  // verdict. Empty outside fleet runs.
-  std::string worker;
 };
 
 // Aggregate result of BatchVerifier::VerifyAll.
@@ -134,7 +131,7 @@ struct BatchReport {
   sym::SolverCacheStats cache;  // Zero-valued when the cache was disabled.
   // Another process held the advisory cache lock: this run warmed from the
   // persistent stores but could not write them back. Surfaced in --stats and
-  // as an obs counter so fleet tooling can detect silently-cold writers.
+  // as an obs counter so monitoring can detect silently-cold writers.
   bool read_only_cache = false;
   // Incremental-mode diagnostics (store load notes, save failures). Rendered
   // after the table; empty outside --incremental runs.

@@ -3,14 +3,15 @@
 // acceptance criteria the in-process suites cannot — a SIGTERM delivered in
 // the middle of a request storm drains to exit code 0 with the journal
 // fsync'd, and a restarted daemon replays that journal into an identical
-// warm verdict view. Also exercises the `icarus client` subcommand as a real
-// subprocess.
+// warm verdict view. Also exercises the `icarus client` and `icarus top`
+// subcommands as real subprocesses.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "src/daemon/protocol.h"
+#include "src/obs/metrics.h"
 #include "src/support/net.h"
 #include "src/verifier/journal.h"
 
@@ -292,6 +294,26 @@ TEST(DaemonE2E, RejectsUnknownFailpointSiteAtStartup) {
   EXPECT_EQ(WaitForExit(pid), 2);
 }
 
+TEST(DaemonE2E, RejectsMalformedNumericFlagsAtStartup) {
+  // Each of these used to start a daemon on a silent default (atoi/atof) or,
+  // for --cache-max-mb, overflow the byte-count multiplication at drain.
+  const std::vector<std::vector<std::string>> bad = {
+      {"--jobs", "abc"},
+      {"--queue", "8x"},
+      {"--rate", "fast"},
+      {"--deadline-ms", "-5"},
+      {"--max-decisions", "99999999999999999999"},
+      {"--cache-max-mb", "9000000000000"},
+  };
+  for (const std::vector<std::string>& flags : bad) {
+    std::vector<std::string> args = {"--socket", TempPath("e2e_badflag.sock")};
+    args.insert(args.end(), flags.begin(), flags.end());
+    pid_t pid = SpawnDaemon(args);
+    ASSERT_GT(pid, 0);
+    EXPECT_EQ(WaitForExit(pid), 2) << flags[0] << " " << flags[1];
+  }
+}
+
 #ifdef ICARUS_CLI_PATH
 TEST(DaemonE2E, CliClientSubcommandRoundTrips) {
   std::string socket = TempPath("e2e_cli.sock");
@@ -314,6 +336,50 @@ TEST(DaemonE2E, CliClientSubcommandRoundTrips) {
   // shutdown drains the daemon.
   std::string bye = cli + " client --socket " + socket + " shutdown >/dev/null";
   EXPECT_EQ(std::system(bye.c_str()), 0) << bye;
+  EXPECT_EQ(WaitForExit(pid), 0);
+}
+
+TEST(DaemonE2E, TopRendersTheDaemonRow) {
+  std::string socket = TempPath("e2e_top.sock");
+  pid_t pid = SpawnDaemon({"--socket", socket, "--jobs", "1", "--obs"});
+  ASSERT_GT(pid, 0);
+  ASSERT_TRUE(AwaitReady(socket)) << "daemon never became ready";
+  Response served = RoundTrip(socket, VerifyReq("tryAttachCompareInt32"));
+  EXPECT_EQ(served.status, kStatusOk) << served.error;
+
+  const std::string cli = ICARUS_CLI_PATH;
+  std::string cmd = cli + " top --socket " + socket + " --iterations 1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr) << cmd;
+  std::string out;
+  char buf[512];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
+    out += buf;
+  }
+  int status = ::pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status)) << cmd;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << cmd << "\n" << out;
+  // Header plus one row named after the socket file, reachable and OK. With
+  // the metrics registry compiled in, the served request's latency fills the
+  // P50 column (a '-' there means the metrics poll failed).
+  EXPECT_NE(out.find("1 daemon,"), std::string::npos) << out;
+  EXPECT_NE(out.find("DAEMON"), std::string::npos) << out;
+  size_t row = out.find("\ne2e_top ");
+  ASSERT_NE(row, std::string::npos) << out;
+  std::istringstream line(out.substr(row + 1, out.find('\n', row + 1) - row - 1));
+  std::vector<std::string> cells;
+  for (std::string cell; line >> cell;) {
+    cells.push_back(cell);
+  }
+  ASSERT_EQ(cells.size(), 10u) << out;
+  EXPECT_EQ(cells[1], kStatusOk) << out;
+  if (obs::kCompiledIn) {
+    EXPECT_NE(cells[8], "-") << out;
+  }
+
+  Request bye;
+  bye.op = kOpShutdown;
+  EXPECT_EQ(RoundTrip(socket, bye).status, kStatusOk);
   EXPECT_EQ(WaitForExit(pid), 0);
 }
 #endif  // ICARUS_CLI_PATH

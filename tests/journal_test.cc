@@ -2,8 +2,9 @@
 // platform/schema mismatch refusal, and the headline crash-recovery
 // scenario — kill a verify-all mid-run (via an abort-action fail point) and
 // prove the resumed run reproduces exactly the verdicts of an uninterrupted
-// run.
+// run. Also drives `icarus verify-all` with malformed numeric flags.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdlib>
 #include <fstream>
@@ -160,6 +161,22 @@ TEST(Journal, UnknownSchemaIsRefused) {
   std::remove(path.c_str());
 }
 
+TEST(Journal, SchemaSixWorkerFieldIsSkipped) {
+  // Schema 6/7 rows written by the removed multi-process mode carry a
+  // `worker` attribution key; it is skipped like any unknown key.
+  std::string path = TempPath("schema7_worker.jsonl");
+  WriteFile(path,
+            "{\"schema\":7,\"platform\":\"cafef00dcafef00d\",\"generator\":\"g\","
+            "\"outcome\":\"VERIFIED\",\"error\":\"\",\"paths\":3,\"queries\":7,"
+            "\"seconds\":0.5,\"attempts\":1,\"worker\":\"w1\",\"paths_merged\":2}\n");
+  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path, "cafef00dcafef00d");
+  ASSERT_TRUE(read.ok()) << read.status().message();
+  ASSERT_EQ(read.value().size(), 1u);
+  EXPECT_EQ(read.value()[0].generator, "g");
+  EXPECT_EQ(read.value()[0].paths_merged, 2);
+  std::remove(path.c_str());
+}
+
 // --- Library-level resume ------------------------------------------------
 
 class JournalBatchTest : public ::testing::Test {
@@ -312,6 +329,40 @@ TEST(CrashRecovery, KilledRunResumesToIdenticalVerdicts) {
 
   std::remove(clean.c_str());
   std::remove(crashed.c_str());
+}
+
+// Exit status of `cmd` run through the shell, or -1 if it did not exit.
+int ExitCode(const std::string& cmd) {
+  int status = std::system(cmd.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(CliFlags, MalformedNumericFlagsExitTwo) {
+  const std::string cli = ICARUS_CLI_PATH;
+  const std::string cache_dir = TempPath("flag_cache");
+  // Each of these used to run on a silent default (atoi/atof) or, for
+  // --cache-max-mb, overflow the MiB-to-bytes multiplication (signed
+  // overflow, undefined behaviour) when the incremental stores were saved.
+  const std::vector<std::string> bad = {
+      "--jobs abc",
+      "--jobs abc --deadline xyz",
+      "--jobs 4x",
+      "--jobs -1",
+      "--deadline xyz",
+      "--deadline nan",
+      "--retries -1",
+      "--max-decisions 99999999999999999999",
+      "--incremental --cache-dir " + cache_dir + " --cache-max-mb 9000000000000",
+  };
+  for (const std::string& flags : bad) {
+    std::string cmd = cli + " verify-all " + flags + " >/dev/null 2>&1";
+    EXPECT_EQ(ExitCode(cmd), 2) << cmd;
+  }
+  // The largest --cache-max-mb whose byte count fits int64_t is accepted and
+  // saved without overflow.
+  std::string cmd = cli + " verify-all --jobs 2 --incremental --cache-dir " + cache_dir +
+                    " --cache-max-mb 8796093022207 >/dev/null 2>&1";
+  EXPECT_EQ(ExitCode(cmd), 0) << cmd;
 }
 
 #endif  // ICARUS_CLI_PATH

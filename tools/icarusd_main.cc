@@ -16,7 +16,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -32,15 +31,21 @@
 #include "src/daemon/protocol.h"
 #include "src/daemon/server.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/support/failpoint.h"
 #include "src/support/net.h"
+#include "tools/numeric_flag.h"
 
 namespace {
 
 using icarus::daemon::Request;
 using icarus::daemon::Response;
 using icarus::daemon::ServerCore;
+using icarus::tools::IntFlag;
+using icarus::tools::kCacheMaxMbMax;
+using icarus::tools::kCacheMaxMbMin;
+using icarus::tools::kInt64Max;
+using icarus::tools::kIntMax;
+using icarus::tools::NonNegativeFlag;
 
 volatile std::sig_atomic_t g_signal = 0;
 
@@ -74,27 +79,18 @@ int Usage() {
       "                   read-only cache view.\n"
       "  --cache-dir D    Store directory (default: .icarus-cache).\n"
       "  --cache-max-mb N Persisted solver-cache size bound (default 64).\n"
-      "  --staging D      Fleet-worker mode (requires --incremental): read the\n"
-      "                   shared --cache-dir stores as an unlocked snapshot and\n"
-      "                   publish this worker's deltas to D instead of writing\n"
-      "                   the shared stores (see `icarus verify-all --workers`).\n"
-      "  --dist-queue N   Bounded queue for fleet `claim` ops (default 256).\n"
       "  --metrics FILE   Export the metrics registry on exit (Prometheus\n"
       "                   text, or JSON when FILE ends in .json).\n"
       "  --obs            Enable the metrics registry without an exit export\n"
       "                   (the `metrics` protocol op serves live scrapes).\n"
-      "  --trace-shard FILE  Record spans and export them as a trace shard on\n"
-      "                   `publish` ops and at drain, for the coordinator's\n"
-      "                   merged fleet trace (see verify-all --trace).\n"
-      "  --worker NAME    Attribution label in the trace shard (default:\n"
-      "                   daemon).\n"
       "  --slow-ms D      Append a flat JSON line with per-stage cost\n"
       "                   attribution for every verify slower than D ms.\n"
       "  --slow-log FILE  Slow-request log destination (default: stderr).\n"
       "  --fail SPEC      Arm a fail-point (see `icarus verify-all --help`).\n"
       "                   Unknown sites are a startup error. Repeatable.\n"
       "\n"
-      "Exit codes: 0 clean drain, 1 drain error, 2 startup/usage error.\n");
+      "Exit codes: 0 clean drain, 1 drain error, 2 startup/usage error\n"
+      "(including a malformed or out-of-range numeric flag).\n");
   return 2;
 }
 
@@ -110,21 +106,37 @@ int RunDaemon(int argc, char** argv) {
     } else if (flag == "--socket" && i + 1 < argc) {
       socket_path = argv[++i];
     } else if (flag == "--jobs" && i + 1 < argc) {
-      options.jobs = std::atoi(argv[++i]);
+      if (!IntFlag(flag, argv[++i], 1, kIntMax, &options.jobs)) {
+        return 2;
+      }
     } else if (flag == "--queue" && i + 1 < argc) {
-      options.admission.queue_limit = std::atoi(argv[++i]);
+      if (!IntFlag(flag, argv[++i], 0, kIntMax, &options.admission.queue_limit)) {
+        return 2;
+      }
     } else if (flag == "--rate" && i + 1 < argc) {
-      options.admission.rate_per_sec = std::atof(argv[++i]);
+      if (!NonNegativeFlag(flag, argv[++i], &options.admission.rate_per_sec)) {
+        return 2;
+      }
     } else if (flag == "--burst" && i + 1 < argc) {
-      options.admission.burst = std::atof(argv[++i]);
+      if (!NonNegativeFlag(flag, argv[++i], &options.admission.burst)) {
+        return 2;
+      }
     } else if (flag == "--strikes" && i + 1 < argc) {
-      options.quarantine.strikes = std::atoi(argv[++i]);
+      if (!IntFlag(flag, argv[++i], 0, kIntMax, &options.quarantine.strikes)) {
+        return 2;
+      }
     } else if (flag == "--deadline-ms" && i + 1 < argc) {
-      options.default_deadline_ms = std::atof(argv[++i]);
+      if (!NonNegativeFlag(flag, argv[++i], &options.default_deadline_ms)) {
+        return 2;
+      }
     } else if (flag == "--max-decisions" && i + 1 < argc) {
-      options.solver_limits.max_decisions = std::atoll(argv[++i]);
+      if (!IntFlag(flag, argv[++i], 0, kInt64Max, &options.solver_limits.max_decisions)) {
+        return 2;
+      }
     } else if (flag == "--max-seconds" && i + 1 < argc) {
-      options.solver_limits.max_seconds = std::atof(argv[++i]);
+      if (!NonNegativeFlag(flag, argv[++i], &options.solver_limits.max_seconds)) {
+        return 2;
+      }
     } else if (flag == "--journal" && i + 1 < argc) {
       options.journal_path = argv[++i];
     } else if (flag == "--incremental") {
@@ -132,24 +144,18 @@ int RunDaemon(int argc, char** argv) {
     } else if (flag == "--cache-dir" && i + 1 < argc) {
       options.cache_dir = argv[++i];
     } else if (flag == "--cache-max-mb" && i + 1 < argc) {
-      options.cache_max_mb = std::atoll(argv[++i]);
-    } else if (flag == "--staging" && i + 1 < argc) {
-      options.staging_dir = argv[++i];
-    } else if (flag == "--dist-queue" && i + 1 < argc) {
-      options.dist_queue_limit = std::atoi(argv[++i]);
+      if (!IntFlag(flag, argv[++i], kCacheMaxMbMin, kCacheMaxMbMax, &options.cache_max_mb)) {
+        return 2;
+      }
     } else if (flag == "--metrics" && i + 1 < argc) {
       metrics_path = argv[++i];
       icarus::obs::SetEnabled(true);
     } else if (flag == "--obs") {
       icarus::obs::SetEnabled(true);
-    } else if (flag == "--trace-shard" && i + 1 < argc) {
-      options.trace_shard_path = argv[++i];
-      icarus::obs::SetEnabled(true);
-      icarus::obs::StartTracing();
-    } else if (flag == "--worker" && i + 1 < argc) {
-      options.worker_label = argv[++i];
     } else if (flag == "--slow-ms" && i + 1 < argc) {
-      options.slow_ms = std::atof(argv[++i]);
+      if (!NonNegativeFlag(flag, argv[++i], &options.slow_ms)) {
+        return 2;
+      }
     } else if (flag == "--slow-log" && i + 1 < argc) {
       options.slow_log_path = argv[++i];
     } else if (flag == "--fail" && i + 1 < argc) {
