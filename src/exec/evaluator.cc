@@ -1,7 +1,5 @@
 #include "src/exec/evaluator.h"
 
-#include <algorithm>
-
 #include "src/ast/printer.h"
 #include "src/support/failpoint.h"
 #include "src/support/str_util.h"
@@ -122,13 +120,6 @@ bool EvalContext::PathFeasible() {
   if (abstract_mode_) {
     return true;
   }
-  // Speculative merge arms never query: the merge decision must be a
-  // deterministic function of the program, not of solver budgets. An
-  // infeasible arm is harmless — its constraints end up guarded by a guard
-  // the rest of the path condition contradicts.
-  if (merge_depth_ > 0) {
-    return true;
-  }
   // Forced-prefix replay: while re-executing the shared prefix of a forked
   // trace (deterministic re-execution — same conditions, same path
   // condition), every feasibility question was already answered by the
@@ -158,14 +149,6 @@ bool EvalContext::CheckAssert(sym::ExprRef cond, const std::string& what,
     return false;
   }
   if (cond->IsTrue() || abstract_mode_) {
-    return true;
-  }
-  // Speculative merge arms defer assertions instead of querying; the
-  // obligations are discharged under the arm's guard when the join commits
-  // (or dropped with the rest of the arm when the merge falls back to
-  // forking, which re-executes the arm with immediate checks).
-  if (merge_depth_ > 0) {
-    pending_asserts_.push_back({cond, what, fn, line});
     return true;
   }
   // Forced-prefix replay (see PathFeasible): an assert inside the forced
@@ -241,14 +224,6 @@ bool EvalContext::DecideBranch(sym::ExprRef cond, bool* ok) {
     *ok = false;
     return false;
   }
-  if (merge_depth_ > 0) {
-    // A symbolic decision inside a speculative arm that the merge machinery
-    // did not intercept cannot fork (there is no trace to extend under
-    // speculation); abandon the enclosing merge and let forking re-execute.
-    merge_abort_ = true;
-    *ok = false;
-    return false;
-  }
   bool decision;
   if (trace_pos_ < trace_.size()) {
     decision = trace_[trace_pos_];
@@ -319,138 +294,6 @@ std::string EvalContext::RenderPathCondition() const {
     parts.push_back(sym::ExprPool::ToString(c));
   }
   return Join(parts, " &&\n");
-}
-
-// ---------------------------------------------------------------------------
-// Path merging: speculation checkpoints
-// ---------------------------------------------------------------------------
-
-EvalContext::SpecCheckpoint EvalContext::BeginSpeculation() {
-  SpecCheckpoint cp;
-  cp.machine = machine_;
-  cp.emits = emits_;
-  cp.pc_size = path_condition_.size();
-  cp.asserts_size = pending_asserts_.size();
-  cp.inputs_size = symbolic_inputs_.size();
-  cp.events_size = events_.size();
-  cp.events_dropped = events_dropped_;
-  cp.steps = steps_;
-  cp.fresh = pool_->fresh_counter();
-  cp.stub_return = stub_return_requested;
-  ++merge_depth_;
-  return cp;
-}
-
-bool EvalContext::EmitsUnchanged(const SpecCheckpoint& cp) const {
-  if (emits_.source_trace.size() != cp.emits.source_trace.size() ||
-      emits_.target.size() != cp.emits.target.size() ||
-      emits_.labels.size() != cp.emits.labels.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < emits_.labels.size(); ++i) {
-    if (emits_.labels[i].target != cp.emits.labels[i].target) {
-      return false;
-    }
-  }
-  return true;
-}
-
-EvalContext::ArmCapture EvalContext::CaptureAndRollback(const SpecCheckpoint& cp) {
-  ArmCapture arm;
-  arm.status = status_;
-  arm.machine = machine_;
-  arm.stub_return = stub_return_requested;
-  arm.emits_unchanged = EmitsUnchanged(cp);
-  arm.conjuncts.assign(path_condition_.begin() + static_cast<long>(cp.pc_size),
-                       path_condition_.end());
-  arm.asserts.assign(pending_asserts_.begin() + static_cast<long>(cp.asserts_size),
-                     pending_asserts_.end());
-  arm.inputs.assign(symbolic_inputs_.begin() + static_cast<long>(cp.inputs_size),
-                    symbolic_inputs_.end());
-  arm.fresh_end = pool_->fresh_counter();
-  arm.steps = steps_;
-
-  machine_ = cp.machine;
-  emits_ = cp.emits;
-  path_condition_.resize(cp.pc_size);
-  pending_asserts_.resize(cp.asserts_size);
-  symbolic_inputs_.resize(cp.inputs_size);
-  events_.resize(cp.events_size);
-  events_dropped_ = cp.events_dropped;
-  steps_ = cp.steps;
-  pool_->set_fresh_counter(cp.fresh);
-  stub_return_requested = cp.stub_return;
-  status_ = PathStatus::kCompleted;
-  violation_ = Violation{};
-  return arm;
-}
-
-bool EvalContext::CommitMerge(sym::ExprRef guard, const ArmCapture& then_arm,
-                              const ArmCapture& else_arm,
-                              machine::MachineState merged_machine, int64_t steps) {
-  machine_ = std::move(merged_machine);
-  stub_return_requested = then_arm.stub_return;
-  steps_ = steps;
-  // Both arms minted their fresh variables from the same counter start;
-  // resume past whichever went further so post-join variables are new.
-  pool_->set_fresh_counter(std::max(then_arm.fresh_end, else_arm.fresh_end));
-  sym::ExprRef not_guard = pool_->Not(guard);
-  // Arm path-condition contributions (branch assumptions, extern ensures,
-  // fresh-value ranges) hold only under that arm's guard.
-  for (sym::ExprRef c : then_arm.conjuncts) {
-    Assume(pool_->Or(not_guard, c));
-  }
-  for (sym::ExprRef c : else_arm.conjuncts) {
-    Assume(pool_->Or(guard, c));
-  }
-  // Union of the arms' fresh inputs. Same-position fresh variables alias
-  // (same node) thanks to the counter rollback, so dedupe by term.
-  for (const auto& in : then_arm.inputs) {
-    symbolic_inputs_.push_back(in);
-  }
-  for (const auto& in : else_arm.inputs) {
-    bool dup = false;
-    for (const auto& seen : then_arm.inputs) {
-      if (seen.second == in.second) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      symbolic_inputs_.push_back(in);
-    }
-  }
-  ++paths_merged_;
-  if (recording_) {
-    LogEvent(StrCat("merged join under guard ", sym::ExprPool::ToString(guard), " (",
-                    then_arm.asserts.size() + else_arm.asserts.size(),
-                    " deferred asserts)"));
-  }
-  if (merge_depth_ > 0) {
-    // Still inside an outer speculation: re-defer the obligations under this
-    // join's guard; the outer commit (or the forking fallback) handles them.
-    for (const PendingAssert& pa : then_arm.asserts) {
-      pending_asserts_.push_back({pool_->Or(not_guard, pa.cond), pa.what, pa.fn, pa.line});
-    }
-    for (const PendingAssert& pa : else_arm.asserts) {
-      pending_asserts_.push_back({pool_->Or(guard, pa.cond), pa.what, pa.fn, pa.line});
-    }
-    return true;
-  }
-  // Top level: discharge the deferred obligations now, each weakened by its
-  // arm's guard. CheckAssert handles prefix-replay skipping, so re-executing
-  // a forked sibling through this join stays query-free.
-  for (const PendingAssert& pa : then_arm.asserts) {
-    if (!CheckAssert(pool_->Or(not_guard, pa.cond), pa.what, pa.fn, pa.line)) {
-      return false;
-    }
-  }
-  for (const PendingAssert& pa : else_arm.asserts) {
-    if (!CheckAssert(pool_->Or(guard, pa.cond), pa.what, pa.fn, pa.line)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -548,188 +391,6 @@ Value EvalExpr(EvalContext& ctx, ExecEnv& env, const ast::Expr& expr) {
 // Statement execution
 // ---------------------------------------------------------------------------
 
-// Joins stop merging once the folded values nest ites this deep; past that
-// the guard trees grow faster than the path count shrinks, so forking wins.
-constexpr int kMaxMergeIteDepth = 8;
-
-// Folds the else-arm value `b` into the then-arm value `a` under `guard`.
-// Enum-typed differences never merge: enum results (AttachDecision above
-// all) must stay path-concrete — the meta-executor dispatches on the
-// constant — so an ite there would turn a clean fork into an internal error.
-bool MergeValue(EvalContext& ctx, sym::ExprRef guard, const Value& a, const Value& b,
-                Value* out) {
-  if (a.type != b.type) {
-    return false;
-  }
-  if (a.IsLabel() || b.IsLabel()) {
-    if (a.label_id != b.label_id) {
-      return false;
-    }
-    *out = a;
-    return true;
-  }
-  if (a.term == b.term) {
-    *out = a;
-    return true;
-  }
-  if (a.term == nullptr || b.term == nullptr) {
-    return false;
-  }
-  if (a.type != nullptr && a.type->kind() == ast::TypeKind::kEnum) {
-    return false;
-  }
-  sym::ExprRef merged = ctx.pool().Ite(guard, a.term, b.term);
-  if (sym::ExprPool::IteDepth(merged) > kMaxMergeIteDepth) {
-    return false;
-  }
-  *out = Value::Of(a.type, merged);
-  return true;
-}
-
-bool SubtreeContainsReturn(const std::vector<ast::StmtPtr>& block) {
-  for (const ast::StmtPtr& s : block) {
-    if (s->kind == ast::StmtKind::kReturn) {
-      return true;
-    }
-    if (s->kind == ast::StmtKind::kIf &&
-        (SubtreeContainsReturn(s->then_block) || SubtreeContainsReturn(s->else_block))) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// True when the block provably emits on every completed execution: a
-// top-level emit preceded only by statements that cannot leave the block.
-bool BlockAlwaysEmits(const std::vector<ast::StmtPtr>& block) {
-  for (const ast::StmtPtr& s : block) {
-    switch (s->kind) {
-      case ast::StmtKind::kEmit:
-        return true;
-      case ast::StmtKind::kLet:
-      case ast::StmtKind::kAssign:
-      case ast::StmtKind::kAssert:
-      case ast::StmtKind::kAssume:
-      case ast::StmtKind::kExprStmt:
-        break;  // Straight-line; keep scanning.
-      default:
-        return false;  // kIf/kReturn/kGoto/labels: no structural certainty.
-    }
-  }
-  return false;
-}
-
-// Speculatively executing both arms is the expensive way to discover that a
-// join can never merge. Two shapes dominate real generators and are visible
-// in the program text alone: the guard pattern `if !ok { return NoAction; }`
-// (one arm always exits with kReturn while the other contains no return at
-// all, so the flows can never match) and the optional-emit ladder
-// `if c { emit Op(...); }` (an arm that always emits can never satisfy the
-// emits-unchanged requirement). The verdict depends only on the statement's
-// structure — identical on every path — so skipping here cannot perturb the
-// deterministic re-execution that forking relies on.
-bool StructurallyUnmergeable(const ast::Stmt& stmt) {
-  bool then_returns = !stmt.then_block.empty() &&
-                      stmt.then_block.back()->kind == ast::StmtKind::kReturn;
-  bool else_returns = !stmt.else_block.empty() &&
-                      stmt.else_block.back()->kind == ast::StmtKind::kReturn;
-  if (then_returns && !SubtreeContainsReturn(stmt.else_block)) {
-    return true;
-  }
-  if (else_returns && !SubtreeContainsReturn(stmt.then_block)) {
-    return true;
-  }
-  return BlockAlwaysEmits(stmt.then_block) || BlockAlwaysEmits(stmt.else_block);
-}
-
-// Attempts to execute both arms of a symbolic `if` speculatively and fold
-// their effects into one state under ite(cond, then, else) terms, instead of
-// forking two paths to the solver. Returns true when the join merged, with
-// *out_flow carrying the (shared) control flow out of the statement; returns
-// false — with the context fully rolled back — when the arms are
-// incompatible, in which case the caller forks as before. No solver queries
-// run inside the arms, so the outcome is deterministic across re-execution
-// of forked siblings (the decision-trace replay invariant).
-bool TryMergeIf(EvalContext& ctx, ExecEnv& env, const ast::Stmt& stmt, sym::ExprRef cond,
-                Flow* out_flow) {
-  if (StructurallyUnmergeable(stmt)) {
-    return false;
-  }
-  EvalContext::SpecCheckpoint cp = ctx.BeginSpeculation();
-  std::vector<Value> entry_slots = env.slots;
-  Value entry_ret = env.ret;
-  int entry_goto = env.goto_label;
-
-  Flow then_flow = ExecBlock(ctx, env, stmt.then_block);
-  Value then_ret = env.ret;
-  int then_goto = env.goto_label;
-  std::vector<Value> then_slots = env.slots;
-  EvalContext::ArmCapture then_arm = ctx.CaptureAndRollback(cp);
-
-  env.slots = entry_slots;
-  env.ret = entry_ret;
-  env.goto_label = entry_goto;
-  Flow else_flow = ExecBlock(ctx, env, stmt.else_block);
-  Value else_ret = env.ret;
-  int else_goto = env.goto_label;
-  std::vector<Value> else_slots = std::move(env.slots);
-  EvalContext::ArmCapture else_arm = ctx.CaptureAndRollback(cp);
-
-  env.slots = std::move(entry_slots);
-  env.ret = entry_ret;
-  env.goto_label = entry_goto;
-  ctx.EndSpeculation();
-
-  // Compatibility: both arms ran to completion, left the emit buffers and
-  // label bindings untouched, and exited the same way.
-  bool ok = then_arm.status == PathStatus::kCompleted &&
-            else_arm.status == PathStatus::kCompleted && then_flow == else_flow &&
-            then_flow != Flow::kAbort && then_arm.emits_unchanged &&
-            else_arm.emits_unchanged && then_arm.stub_return == else_arm.stub_return;
-  if (ok && then_flow == Flow::kGoto) {
-    ok = then_goto == else_goto;
-  }
-  Value merged_ret = entry_ret;
-  if (ok && then_flow == Flow::kReturn) {
-    ok = MergeValue(ctx, cond, then_ret, else_ret, &merged_ret);
-  }
-  std::vector<Value> merged_slots;
-  if (ok) {
-    merged_slots = then_slots;
-    for (size_t i = 0; i < merged_slots.size(); ++i) {
-      if (!MergeValue(ctx, cond, then_slots[i], else_slots[i], &merged_slots[i])) {
-        ok = false;
-        break;
-      }
-    }
-  }
-  machine::MachineState merged_machine;
-  if (ok) {
-    merged_machine = then_arm.machine;
-    ok = merged_machine.MergeWith(else_arm.machine, &ctx.pool(), cond, kMaxMergeIteDepth);
-  }
-  if (!ok) {
-    return false;
-  }
-  // A merged path costs what the longer arm would have (each forked path
-  // would have paid one arm); both arms were re-based to the checkpoint.
-  int64_t steps = std::max(then_arm.steps, else_arm.steps);
-  if (!ctx.CommitMerge(cond, then_arm, else_arm, std::move(merged_machine), steps)) {
-    // A deferred assertion failed (or hit the solver budget) at the join;
-    // the context already holds the violation/limit status.
-    *out_flow = Flow::kAbort;
-    return true;
-  }
-  env.slots = std::move(merged_slots);
-  if (then_flow == Flow::kReturn) {
-    env.ret = merged_ret;
-  } else if (then_flow == Flow::kGoto) {
-    env.goto_label = then_goto;
-  }
-  *out_flow = then_flow;
-  return true;
-}
-
 Flow ExecStmt(EvalContext& ctx, ExecEnv& env, const ast::Stmt& stmt) {
   if (ctx.status() != PathStatus::kCompleted || !ctx.CountStep()) {
     return Flow::kAbort;
@@ -749,20 +410,6 @@ Flow ExecStmt(EvalContext& ctx, ExecEnv& env, const ast::Stmt& stmt) {
       Value cond = EvalExpr(ctx, env, *stmt.expr);
       if (ctx.status() != PathStatus::kCompleted) {
         return Flow::kAbort;
-      }
-      if (ctx.merging() && ctx.mode() == Mode::kSymbolic && !ctx.abstract_mode() &&
-          !cond.term->IsConst()) {
-        Flow merged_flow = Flow::kNormal;
-        if (TryMergeIf(ctx, env, stmt, cond.term, &merged_flow)) {
-          return merged_flow;
-        }
-        if (ctx.in_speculation()) {
-          // This join is itself inside an outer speculative arm and cannot
-          // fork there; abandon the outer merge so forking re-executes.
-          ctx.set_merge_abort();
-          return Flow::kAbort;
-        }
-        ctx.clear_merge_abort();
       }
       bool ok = true;
       bool taken = ctx.DecideBranch(cond.term, &ok);

@@ -19,8 +19,8 @@ constexpr int kMaxInterpSteps = 4096;
 std::string MetaResult::Summary() const {
   const char* verdict = verified ? "VERIFIED" : (violations.empty() ? "INCONCLUSIVE" : "VIOLATION");
   std::string out = StrFormat(
-      "%s: %d paths (%d attached, %d infeasible, %d merged), %lld solver queries, %.3fs",
-      verdict, paths_explored, paths_attached, paths_infeasible, paths_merged,
+      "%s: %d paths (%d attached, %d infeasible), %lld solver queries, %.3fs",
+      verdict, paths_explored, paths_attached, paths_infeasible,
       static_cast<long long>(solver_queries), seconds);
   for (const std::string& note : limit_notes) {
     out += StrCat("\n  inconclusive: ", note);
@@ -161,7 +161,6 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
     ctx.set_solver_cache(solver_cache_);
     ctx.set_solver_limits(solver_limits_);
     ctx.set_solver(&solver);
-    ctx.set_merging(merging_);
     ctx.set_recording(recording_);
     ctx.set_max_events(static_cast<size_t>(limits_.max_path_events));
     ctx.StartPath(std::move(trace));
@@ -276,8 +275,6 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
       }
     }
     result.solver_queries += ctx.solver_queries();
-    result.paths_merged += static_cast<int>(ctx.paths_merged());
-
     result.paths_forked += static_cast<int>(ctx.pending_alternatives().size());
     for (const std::vector<bool>& alt : ctx.pending_alternatives()) {
       worklist.push_back(alt);
@@ -301,14 +298,11 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
         "icarus_meta_paths_attached_total", "Paths on which a stub attached");
     static obs::Counter* limited = obs::Registry::Global().GetCounter(
         "icarus_meta_paths_limited_total", "Paths abandoned on a resource limit");
-    static obs::Counter* merged = obs::Registry::Global().GetCounter(
-        "icarus_meta_paths_merged_total", "Joins folded by ite-lifting instead of forking");
     explored->Add(result.paths_explored);
     forked->Add(result.paths_forked);
     infeasible->Add(result.paths_infeasible);
     attached->Add(result.paths_attached);
     limited->Add(result.paths_limited);
-    merged->Add(result.paths_merged);
   }
   return result;
 }

@@ -276,7 +276,6 @@ std::string RenderHtmlReport(const ReportInput& input) {
   int64_t total_paths = 0;
   int64_t total_attached = 0;
   int64_t total_infeasible = 0;
-  int64_t total_merged = 0;
   double sum_cfa = 0.0;
   double sum_gen = 0.0;
   double sum_interp = 0.0;
@@ -285,7 +284,6 @@ std::string RenderHtmlReport(const ReportInput& input) {
     total_paths += r.paths;
     total_attached += r.paths_attached;
     total_infeasible += r.paths_infeasible;
-    total_merged += r.paths_merged;
     sum_cfa += r.cfa_s;
     sum_gen += r.gen_s;
     sum_interp += r.interp_s;
@@ -303,10 +301,6 @@ std::string RenderHtmlReport(const ReportInput& input) {
       total_paths > 0 ? 100.0 * static_cast<double>(total_infeasible) /
                             static_cast<double>(total_paths)
                       : 0.0);
-  out += StrFormat(
-      "<tr><td>joins merged by ite-lifting (forks avoided)</td>"
-      "<td class=\"num\">%lld</td></tr>\n",
-      static_cast<long long>(total_merged));
   const double stage_total = sum_cfa + sum_gen + sum_interp + sum_solve;
   out += StrFormat(
       "<tr><td>stage cost split (cfa / generate / interpret / solve)</td>"

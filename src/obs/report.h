@@ -19,7 +19,7 @@
 namespace icarus::obs {
 
 // One generator's verdict row, pre-flattened (list-valued counterexample
-// data arrives pre-rendered, the same wire form journal schema v3 stores).
+// data arrives pre-rendered, the same wire form the journal stores).
 struct ReportRow {
   std::string generator;
   std::string outcome;  // OutcomeName token: "VERIFIED", "COUNTEREXAMPLE", ...
@@ -27,7 +27,6 @@ struct ReportRow {
   int64_t paths = 0;
   int64_t paths_attached = 0;
   int64_t paths_infeasible = 0;
-  int64_t paths_merged = 0;  // Joins folded by ite-lifting instead of forking.
   int64_t queries = 0;
   int64_t decisions = 0;
   int attempts = 1;

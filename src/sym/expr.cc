@@ -55,8 +55,6 @@ const char* KindName(Kind k) {
       return "&&";
     case Kind::kOr:
       return "||";
-    case Kind::kIte:
-      return "ite";
   }
   return "?";
 }
@@ -131,24 +129,10 @@ ExprRef ExprPool::Var(const std::string& name, Sort sort) {
 }
 
 ExprRef ExprPool::Fresh(const std::string& prefix, Sort sort) {
-  return Var(StrCat(prefix, "#", fresh_counter_++), sort);
+  return Var(StrCat(prefix, "#", next_fresh_++), sort);
 }
 
 ExprRef ExprPool::App(const std::string& fn, std::vector<ExprRef> args, Sort result_sort) {
-  // Distribute a guarded-choice argument outward: f(ite(c,t,e)) becomes
-  // ite(c, f(t), f(e)). Keeps kIte out of every non-ite node so the solver's
-  // uninterpreted-function layer only sees plain applications.
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i]->kind == Kind::kIte) {
-      ExprRef c = args[i]->args[0];
-      std::vector<ExprRef> then_args = args;
-      std::vector<ExprRef> else_args = std::move(args);
-      then_args[i] = then_args[i]->args[1];
-      else_args[i] = else_args[i]->args[2];
-      return Ite(c, App(fn, std::move(then_args), result_sort),
-                 App(fn, std::move(else_args), result_sort));
-    }
-  }
   Node n;
   n.kind = Kind::kApp;
   n.sort = result_sort;
@@ -184,9 +168,6 @@ std::string ExprPool::ToString(ExprRef e) {
     }
     case Kind::kNeg:
       return StrCat("-", ToString(e->args[0]));
-    case Kind::kIte:
-      return StrCat("ite(", ToString(e->args[0]), ", ", ToString(e->args[1]), ", ",
-                    ToString(e->args[2]), ")");
     case Kind::kNot:
       return StrCat("!", ToString(e->args[0]));
     default:

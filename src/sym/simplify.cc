@@ -36,72 +36,10 @@ ExprRef Rw(ExprRef rewritten) {
   return rewritten;
 }
 
-bool EitherIte(ExprRef a, ExprRef b) {
-  return a->kind == Kind::kIte || b->kind == Kind::kIte;
-}
-
-// Distributes a top-level ite operand outward: op(ite(c,t,e), x) becomes
-// ite(c, op(t,x), op(e,x)). Applied by every binary smart constructor before
-// any other rule, this maintains the invariant that only kIte nodes have kIte
-// children — so boolean terms (path conditions, assertions) are entirely
-// ite-free and the CDCL encoder never needs an ite case. `op` re-enters the
-// smart constructor, so nested ites distribute recursively and the usual
-// folds still fire inside each arm.
-template <typename Pool, typename F>
-ExprRef DistributeIte(Pool* pool, ExprRef a, ExprRef b, F op) {
-  if (a->kind == Kind::kIte) {
-    return pool->Ite(a->args[0], op(a->args[1], b), op(a->args[2], b));
-  }
-  return pool->Ite(b->args[0], op(a, b->args[1]), op(a, b->args[2]));
-}
-
 }  // namespace
-
-ExprRef ExprPool::Ite(ExprRef c, ExprRef t, ExprRef e) {
-  ICARUS_REQUIRE(c->sort == Sort::kBool);
-  ICARUS_REQUIRE(t->sort == e->sort);
-  if (t->sort == Sort::kBool) {
-    // Boolean choice lowers to connectives; kIte is reserved for kInt/kTerm.
-    return IteBool(c, t, e);
-  }
-  if (c->IsTrue()) {
-    return Rw(t);
-  }
-  if (c->IsFalse()) {
-    return Rw(e);
-  }
-  if (c->kind == Kind::kNot) {
-    return Rw(Ite(c->args[0], e, t));
-  }
-  // Within each branch the condition's value is fixed, so a same-condition
-  // nested ite collapses to the matching arm. This is what keeps repeated
-  // distribution over the same guard (e.g. Add(ite(c,..), ite(c,..))) from
-  // squaring the term.
-  if (t->kind == Kind::kIte && t->args[0] == c) {
-    t = t->args[1];
-  }
-  if (e->kind == Kind::kIte && e->args[0] == c) {
-    e = e->args[2];
-  }
-  if (t == e) {
-    return Rw(t);
-  }
-  Node n;
-  n.kind = Kind::kIte;
-  n.sort = t->sort;
-  // Stash the ite-nesting depth in `value` — a deterministic function of the
-  // args, so interning and the canonical hash stay stable. The merge
-  // machinery caps this depth before choosing to merge.
-  n.value = 1 + std::max(IteDepth(t), IteDepth(e));
-  n.args = {c, t, e};
-  return Intern(std::move(n));
-}
 
 ExprRef ExprPool::Add(ExprRef a, ExprRef b) {
   ICARUS_REQUIRE(a->sort == Sort::kInt && b->sort == Sort::kInt);
-  if (EitherIte(a, b)) {
-    return Rw(DistributeIte(this, a, b, [this](ExprRef x, ExprRef y) { return Add(x, y); }));
-  }
   if (BothConstInt(a, b)) {
     return Rw(IntConst(a->value + b->value));
   }
@@ -120,9 +58,6 @@ ExprRef ExprPool::Add(ExprRef a, ExprRef b) {
 
 ExprRef ExprPool::Sub(ExprRef a, ExprRef b) {
   ICARUS_REQUIRE(a->sort == Sort::kInt && b->sort == Sort::kInt);
-  if (EitherIte(a, b)) {
-    return Rw(DistributeIte(this, a, b, [this](ExprRef x, ExprRef y) { return Sub(x, y); }));
-  }
   if (BothConstInt(a, b)) {
     return Rw(IntConst(a->value - b->value));
   }
@@ -137,9 +72,6 @@ ExprRef ExprPool::Sub(ExprRef a, ExprRef b) {
 
 ExprRef ExprPool::Mul(ExprRef a, ExprRef b) {
   ICARUS_REQUIRE(a->sort == Sort::kInt && b->sort == Sort::kInt);
-  if (EitherIte(a, b)) {
-    return Rw(DistributeIte(this, a, b, [this](ExprRef x, ExprRef y) { return Mul(x, y); }));
-  }
   if (BothConstInt(a, b)) {
     return Rw(IntConst(a->value * b->value));
   }
@@ -159,9 +91,6 @@ ExprRef ExprPool::Mul(ExprRef a, ExprRef b) {
 
 ExprRef ExprPool::Div(ExprRef a, ExprRef b) {
   ICARUS_REQUIRE(a->sort == Sort::kInt && b->sort == Sort::kInt);
-  if (EitherIte(a, b)) {
-    return Rw(DistributeIte(this, a, b, [this](ExprRef x, ExprRef y) { return Div(x, y); }));
-  }
   // Fold only when well-defined (nonzero divisor, no INT64_MIN/-1 overflow).
   if (BothConstInt(a, b) && b->value != 0 && !(a->value == INT64_MIN && b->value == -1)) {
     return Rw(IntConst(a->value / b->value));
@@ -174,9 +103,6 @@ ExprRef ExprPool::Div(ExprRef a, ExprRef b) {
 
 ExprRef ExprPool::Mod(ExprRef a, ExprRef b) {
   ICARUS_REQUIRE(a->sort == Sort::kInt && b->sort == Sort::kInt);
-  if (EitherIte(a, b)) {
-    return Rw(DistributeIte(this, a, b, [this](ExprRef x, ExprRef y) { return Mod(x, y); }));
-  }
   if (BothConstInt(a, b) && b->value != 0 && !(a->value == INT64_MIN && b->value == -1)) {
     return Rw(IntConst(a->value % b->value));
   }
@@ -185,9 +111,6 @@ ExprRef ExprPool::Mod(ExprRef a, ExprRef b) {
 
 ExprRef ExprPool::Neg(ExprRef a) {
   ICARUS_REQUIRE(a->sort == Sort::kInt);
-  if (a->kind == Kind::kIte) {
-    return Rw(Ite(a->args[0], Neg(a->args[1]), Neg(a->args[2])));
-  }
   if (a->kind == Kind::kConstInt) {
     return Rw(IntConst(-a->value));
   }
@@ -202,9 +125,6 @@ ExprRef ExprPool::Neg(ExprRef a) {
 }
 
 ExprRef ExprPool::BitAnd(ExprRef a, ExprRef b) {
-  if (EitherIte(a, b)) {
-    return Rw(DistributeIte(this, a, b, [this](ExprRef x, ExprRef y) { return BitAnd(x, y); }));
-  }
   if (BothConstInt(a, b)) {
     return Rw(IntConst(a->value & b->value));
   }
@@ -221,9 +141,6 @@ ExprRef ExprPool::BitAnd(ExprRef a, ExprRef b) {
 }
 
 ExprRef ExprPool::BitOr(ExprRef a, ExprRef b) {
-  if (EitherIte(a, b)) {
-    return Rw(DistributeIte(this, a, b, [this](ExprRef x, ExprRef y) { return BitOr(x, y); }));
-  }
   if (BothConstInt(a, b)) {
     return Rw(IntConst(a->value | b->value));
   }
@@ -240,9 +157,6 @@ ExprRef ExprPool::BitOr(ExprRef a, ExprRef b) {
 }
 
 ExprRef ExprPool::BitXor(ExprRef a, ExprRef b) {
-  if (EitherIte(a, b)) {
-    return Rw(DistributeIte(this, a, b, [this](ExprRef x, ExprRef y) { return BitXor(x, y); }));
-  }
   if (BothConstInt(a, b)) {
     return Rw(IntConst(a->value ^ b->value));
   }
@@ -253,9 +167,6 @@ ExprRef ExprPool::BitXor(ExprRef a, ExprRef b) {
 }
 
 ExprRef ExprPool::Shl(ExprRef a, ExprRef b) {
-  if (EitherIte(a, b)) {
-    return Rw(DistributeIte(this, a, b, [this](ExprRef x, ExprRef y) { return Shl(x, y); }));
-  }
   if (BothConstInt(a, b) && b->value >= 0 && b->value < 63) {
     return Rw(IntConst(static_cast<int64_t>(static_cast<uint64_t>(a->value) << b->value)));
   }
@@ -263,9 +174,6 @@ ExprRef ExprPool::Shl(ExprRef a, ExprRef b) {
 }
 
 ExprRef ExprPool::Shr(ExprRef a, ExprRef b) {
-  if (EitherIte(a, b)) {
-    return Rw(DistributeIte(this, a, b, [this](ExprRef x, ExprRef y) { return Shr(x, y); }));
-  }
   if (BothConstInt(a, b) && b->value >= 0 && b->value < 64) {
     return Rw(IntConst(a->value >> b->value));
   }
@@ -274,11 +182,6 @@ ExprRef ExprPool::Shr(ExprRef a, ExprRef b) {
 
 ExprRef ExprPool::Eq(ExprRef a, ExprRef b) {
   ICARUS_REQUIRE(a->sort == b->sort);
-  if (EitherIte(a, b)) {
-    // Predicates over a guarded choice lift through IteBool (Ite routes
-    // kBool-sorted results there), keeping path conditions ite-free.
-    return Rw(DistributeIte(this, a, b, [this](ExprRef x, ExprRef y) { return Eq(x, y); }));
-  }
   if (a == b) {
     return Rw(True());
   }
@@ -312,9 +215,6 @@ ExprRef ExprPool::Eq(ExprRef a, ExprRef b) {
 
 ExprRef ExprPool::Lt(ExprRef a, ExprRef b) {
   ICARUS_REQUIRE(a->sort == Sort::kInt && b->sort == Sort::kInt);
-  if (EitherIte(a, b)) {
-    return Rw(DistributeIte(this, a, b, [this](ExprRef x, ExprRef y) { return Lt(x, y); }));
-  }
   if (BothConstInt(a, b)) {
     return Rw(BoolConst(a->value < b->value));
   }
@@ -326,9 +226,6 @@ ExprRef ExprPool::Lt(ExprRef a, ExprRef b) {
 
 ExprRef ExprPool::Le(ExprRef a, ExprRef b) {
   ICARUS_REQUIRE(a->sort == Sort::kInt && b->sort == Sort::kInt);
-  if (EitherIte(a, b)) {
-    return Rw(DistributeIte(this, a, b, [this](ExprRef x, ExprRef y) { return Le(x, y); }));
-  }
   if (BothConstInt(a, b)) {
     return Rw(BoolConst(a->value <= b->value));
   }

@@ -40,10 +40,6 @@ struct BatchOptions {
   sym::Solver::Options solver_options;
   // Timing repeats per generator (passed through to VerifyOptions.runs).
   int runs = 1;
-  // Path merging inside every task (merge_paths = false is the
-  // `--no-merge-paths` ablation: pure forking executor, the differential
-  // oracle for the merged mode).
-  bool merge_paths = true;
   // Also build each generator's CFA artifact (off by default: the batch
   // driver reports verdicts, not DOT renderings).
   bool build_cfa = false;
@@ -114,7 +110,7 @@ struct GeneratorResult {
   bool resumed = false; // Row restored from a journal, not recomputed.
   // Incremental verification: the unit's content fingerprint (hex; empty in
   // non-incremental runs) and the solver budget the run was configured with.
-  // Journaled (schema v4) and matched by the verdict store.
+  // Journaled and matched by the verdict store.
   std::string unit_fp;
   int64_t budget_decisions = 0;
   double budget_seconds = 0.0;
@@ -149,13 +145,11 @@ struct BatchReport {
   std::string RenderExplain() const;
   // Cost-attribution table: per-generator stage breakdown (CFA build,
   // generate, interpret, solver), decision/query counts, and the dominant
-  // stage, plus aggregate and tail-percentile footers. Stage columns are 0
-  // for rows resumed from a schema-1 journal (written before the breakdown
-  // existed).
+  // stage, plus aggregate and tail-percentile footers.
   std::string RenderStatsTable() const;
 };
 
-// Converts one batch row to its journal record (schema v3, including the
+// Converts one batch row to its journal record (including the
 // flight-recorder counterexample fields for refuted rows) and back. Public
 // because `icarus report` builds report rows from in-memory batch results
 // without round-tripping through a journal file.

@@ -210,8 +210,6 @@ class LineParser {
       rec->paths_attached = static_cast<int64_t>(v);
     } else if (key == "paths_infeasible") {
       rec->paths_infeasible = static_cast<int64_t>(v);
-    } else if (key == "paths_merged") {
-      rec->paths_merged = static_cast<int64_t>(v);
     } else if (key == "cx_line") {
       rec->cx_line = static_cast<int>(v);
     } else if (key == "budget_decisions") {
@@ -253,11 +251,10 @@ std::string JournalRecord::ToJsonLine() const {
                    static_cast<long long>(propagations),
                    static_cast<long long>(learned_clauses),
                    static_cast<long long>(restarts));
-  out += StrFormat(",\"paths_attached\":%lld,\"paths_infeasible\":%lld,\"paths_merged\":%lld",
+  out += StrFormat(",\"paths_attached\":%lld,\"paths_infeasible\":%lld",
                    static_cast<long long>(paths_attached),
-                   static_cast<long long>(paths_infeasible),
-                   static_cast<long long>(paths_merged));
-  // Incremental-verification block (schema >= 4): only on rows that carry a
+                   static_cast<long long>(paths_infeasible));
+  // Incremental-verification block: only on rows that carry a
   // unit fingerprint, so journals from non-incremental runs stay compact.
   if (!unit_fp.empty()) {
     out += ",\"unit_fp\":";
@@ -345,11 +342,10 @@ StatusOr<std::vector<JournalRecord>> ReadJournal(const std::string& path,
       pending_error = StrCat("journal '", path, "' line ", line_no, " is malformed");
       continue;
     }
-    if (rec.schema < kJournalMinReadSchemaVersion || rec.schema > kJournalSchemaVersion) {
+    if (rec.schema != kJournalSchemaVersion) {
       return Status::Error(StrFormat("journal '%s' line %d has schema version %d; this build "
-                                     "reads versions %d through %d",
-                                     path.c_str(), line_no, rec.schema,
-                                     kJournalMinReadSchemaVersion, kJournalSchemaVersion));
+                                     "reads only version %d",
+                                     path.c_str(), line_no, rec.schema, kJournalSchemaVersion));
     }
     if (!expect_platform.empty() && rec.platform != expect_platform) {
       return Status::Error(StrFormat(
@@ -370,7 +366,6 @@ obs::ReportRow ReportRowFromRecord(const JournalRecord& rec) {
   row.paths = rec.paths;
   row.paths_attached = rec.paths_attached;
   row.paths_infeasible = rec.paths_infeasible;
-  row.paths_merged = rec.paths_merged;
   row.queries = rec.queries;
   row.decisions = rec.decisions;
   row.attempts = rec.attempts;

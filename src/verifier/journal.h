@@ -28,36 +28,8 @@
 namespace icarus::verifier {
 
 // Journal wire format version; bump on any incompatible record change.
-// History:
-//   1 — initial format (outcome, paths, queries, seconds, attempts).
-//   2 — adds the per-stage cost breakdown (cfa_s/gen_s/interp_s/solve_s/
-//       decisions). Strictly additive: a v1 record reads fine with the new
-//       fields defaulting to 0, so resuming a v1 journal is still allowed
-//       (kJournalMinReadSchemaVersion); its rows simply render zero costs.
-//   3 — adds the flight-recorder counterexample (cx_contract/cx_function/
-//       cx_line/cx_witnesses/cx_source_ops/cx_target_ops/cx_decisions, only
-//       present on REFUTED rows) and the path-outcome counters
-//       (paths_attached/paths_infeasible). Additive again: the parser skips
-//       unknown keys, so v1/v2 records read fine with empty counterexamples.
-//   4 — adds the incremental-verification fields: the verification unit's
-//       content fingerprint (unit_fp, ast::Fingerprint::ToHex) and the solver
-//       budget the run used (budget_decisions/budget_seconds). These are what
-//       the persistent verdict store matches on before skipping a generator
-//       as CACHED_SAFE. Additive: older rows read fine with an empty
-//       fingerprint, which simply never matches (so they are re-verified).
-//   5 — adds the CDCL solver counters (propagations/learned_clauses/
-//       restarts), rendered by `verify-all --stats`. Additive: older rows
-//       read fine with the counters defaulting to 0.
-//   6 — added per-worker attribution (`worker`) for a multi-process mode
-//       that has since been removed. Nothing writes the field any more; the
-//       parser skips it like any unknown key, so v6/v7 rows carrying it still
-//       read.
-//   7 — adds the path-merging counter (`paths_merged`: joins folded by
-//       ite-lifting instead of forking), rendered by `verify-all --stats`.
-//       Additive: older rows read fine with the counter defaulting to 0,
-//       which is also what the --no-merge-paths ablation writes.
+// Readers accept only this version.
 inline constexpr int kJournalSchemaVersion = 7;
-inline constexpr int kJournalMinReadSchemaVersion = 1;
 
 // One journaled verdict. `outcome` is the OutcomeName() token (e.g.
 // "VERIFIED", "INTERNAL_ERROR") — a string, not the enum, so the journal
@@ -72,31 +44,27 @@ struct JournalRecord {
   int64_t queries = 0;    // meta.solver_queries.
   double seconds = 0.0;   // Per-task wall clock.
   int attempts = 1;       // 1 + retries consumed.
-  // Per-stage cost attribution (schema >= 2; 0 in resumed v1 rows).
+  // Per-stage cost attribution.
   double cfa_s = 0.0;      // CFA construction.
   double gen_s = 0.0;      // Meta-execution phase 1, minus solver time.
   double interp_s = 0.0;   // Meta-execution phase 2, minus solver time.
   double solve_s = 0.0;    // Wall time inside Solver::Solve.
   int64_t decisions = 0;   // Branching decisions across the task's queries.
-  // CDCL solver counters (schema >= 5; 0 in older rows and under the
-  // --no-clause-learning ablation engine).
+  // CDCL solver counters (0 under the --no-clause-learning ablation engine).
   int64_t propagations = 0;     // Literals assigned by unit propagation.
   int64_t learned_clauses = 0;  // 1-UIP clauses + theory lemmas learned.
   int64_t restarts = 0;         // Luby restarts.
-  // Path-outcome counters (schema >= 3; 0 in older rows).
+  // Path-outcome counters.
   int64_t paths_attached = 0;
   int64_t paths_infeasible = 0;
-  // Joins folded by ite-lifting instead of forking (schema >= 7; 0 in older
-  // rows and under the --no-merge-paths ablation).
-  int64_t paths_merged = 0;
-  // Incremental verification (schema >= 4; empty/0 in older rows).
+  // Incremental verification.
   std::string unit_fp;          // ast::UnitFingerprint(...).ToHex() of the unit.
   int64_t budget_decisions = 0; // Solver::Limits the verdict was earned under.
   double budget_seconds = 0.0;
-  // Flight-recorder counterexample (schema >= 3). Present — cx_contract
-  // non-empty — only on rows whose verdict carries a violation. The journal
-  // stays a *flat* object: list-valued data is pre-rendered with "; " (ops)
-  // or as a T/F string (decisions), which is what the reports consume.
+  // Flight-recorder counterexample. Present — cx_contract non-empty — only
+  // on rows whose verdict carries a violation. The journal stays a *flat*
+  // object: list-valued data is pre-rendered with "; " (ops) or as a T/F
+  // string (decisions), which is what the reports consume.
   std::string cx_contract;    // Violated contract / assertion text.
   std::string cx_function;    // Function containing the violated check.
   int cx_line = 0;

@@ -57,11 +57,10 @@ VerdictStore::LoadResult VerdictStore::Load(const std::string& path, const std::
       result.note = StrFormat("verdict store line %d is malformed; starting cold", line_no);
       return result;
     }
-    if (rec.schema < kJournalMinReadSchemaVersion || rec.schema > kJournalSchemaVersion) {
-      result.note = StrFormat("verdict store line %d has schema %d (this build reads %d..%d); "
+    if (rec.schema != kJournalSchemaVersion) {
+      result.note = StrFormat("verdict store line %d has schema %d (this build reads only %d); "
                               "starting cold",
-                              line_no, rec.schema, kJournalMinReadSchemaVersion,
-                              kJournalSchemaVersion);
+                              line_no, rec.schema, kJournalSchemaVersion);
       return result;
     }
     if (rec.platform != epoch) {

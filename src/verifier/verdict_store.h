@@ -19,7 +19,7 @@
 //     re-running them keeps counterexample reporting live.
 //
 // On disk the store is a JSONL file of journal records (journal.h wire
-// format, schema v4) whose `platform` field holds the *verifier epoch* — a
+// format) whose `platform` field holds the *verifier epoch* — a
 // constant naming the C++-side semantics (solver, meta-executor, extern host
 // bindings) rather than Platform::Fingerprint(), which changes on any DSL
 // edit and would defeat per-unit invalidation. Bump the epoch when a C++

@@ -15,8 +15,8 @@ std::string VerifyReport::Render() const {
     out += StrCat("inconclusive: ", note, "\n");
   }
   out += StrFormat(
-      "paths: %d explored, %d attached, %d infeasible, %d merged; %lld solver queries\n",
-      meta.paths_explored, meta.paths_attached, meta.paths_infeasible, meta.paths_merged,
+      "paths: %d explored, %d attached, %d infeasible; %lld solver queries\n",
+      meta.paths_explored, meta.paths_attached, meta.paths_infeasible,
       static_cast<long long>(meta.solver_queries));
   out += StrFormat("time: mean %.3fs, median %.3fs, sigma %.4fs over runs\n", timing.mean,
                    timing.median, timing.stddev);
@@ -85,7 +85,6 @@ StatusOr<VerifyReport> Verifier::Verify(const std::string& generator_name,
   executor.set_solver_limits(options.solver_limits);
   executor.set_solver_options(options.solver_options);
   executor.set_cancel_flag(options.cancel);
-  executor.set_merging(options.merge_paths);
   executor.set_recording(options.record);
 
   // Timed loop: meta-execution only, `runs` samples.

@@ -38,10 +38,6 @@ struct VerifyOptions {
   sym::Solver::Options solver_options;
   // Cooperative cancellation (fleet deadline); checked between paths.
   const std::atomic<bool>* cancel = nullptr;
-  // Path merging (ite-lifting at post-dominating joins; see
-  // MetaExecutor::set_merging). Off is the pure forking executor, retained
-  // as the differential oracle — the --no-merge-paths ablation.
-  bool merge_paths = true;
   // Flight recorder: keep a bounded per-path event log, attached to any
   // violation found (see MetaExecutor::set_recording). Off by default — the
   // structured counterexample (witnesses, decisions, op sequences) is

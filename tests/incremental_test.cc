@@ -284,6 +284,20 @@ TEST(VerdictStoreTest, CorruptionAndEpochMismatchStartCold) {
   EXPECT_TRUE(load.note.empty()) << load.note;
 }
 
+TEST(VerdictStoreTest, OldSchemaStartsColdWithNote) {
+  std::string path = TempPath("verdicts_schema1.jsonl");
+  JournalRecord old = PassRecord("genA", "aaaa");
+  old.schema = 1;
+  WriteFile(path, old.ToJsonLine() + "\n");
+  VerdictStore store;
+  VerdictStore::LoadResult load = store.Load(path, kVerifierEpoch);
+  EXPECT_EQ(load.entries, 0u);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_NE(load.note.find("schema 1"), std::string::npos) << load.note;
+  EXPECT_NE(load.note.find("starting cold"), std::string::npos) << load.note;
+  std::remove(path.c_str());
+}
+
 // --- Unit fingerprints + end-to-end incremental runs ---------------------
 
 // Two tiny generators layered on the standard platform. `incrTestAdd` emits

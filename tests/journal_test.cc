@@ -80,27 +80,18 @@ TEST(Journal, RecordRoundTripsThroughDisk) {
   std::remove(path.c_str());
 }
 
-TEST(Journal, SchemaOneRecordStillReads) {
-  // A journal written before the schema-2 cost-attribution fields existed
-  // must still resume: the missing fields default to zero.
+TEST(Journal, SchemaOneRecordIsRefused) {
+  // Readers accept only the current schema: resuming an old journal is
+  // refused rather than reinterpreted.
   std::string path = TempPath("schema1.jsonl");
   WriteFile(path,
             "{\"schema\":1,\"platform\":\"cafef00dcafef00d\",\"generator\":\"g\","
             "\"outcome\":\"VERIFIED\",\"error\":\"\",\"paths\":3,\"queries\":7,"
             "\"seconds\":0.5,\"attempts\":1}\n");
   StatusOr<std::vector<JournalRecord>> read = ReadJournal(path, "cafef00dcafef00d");
-  ASSERT_TRUE(read.ok()) << read.status().message();
-  ASSERT_EQ(read.value().size(), 1u);
-  const JournalRecord& r = read.value()[0];
-  EXPECT_EQ(r.schema, 1);
-  EXPECT_EQ(r.generator, "g");
-  EXPECT_EQ(r.paths, 3);
-  EXPECT_DOUBLE_EQ(r.seconds, 0.5);
-  EXPECT_DOUBLE_EQ(r.cfa_s, 0.0);
-  EXPECT_DOUBLE_EQ(r.gen_s, 0.0);
-  EXPECT_DOUBLE_EQ(r.interp_s, 0.0);
-  EXPECT_DOUBLE_EQ(r.solve_s, 0.0);
-  EXPECT_EQ(r.decisions, 0);
+  ASSERT_FALSE(read.ok());
+  EXPECT_NE(read.status().message().find("schema version 1"), std::string::npos)
+      << read.status().message();
   std::remove(path.c_str());
 }
 
@@ -162,8 +153,9 @@ TEST(Journal, UnknownSchemaIsRefused) {
 }
 
 TEST(Journal, SchemaSixWorkerFieldIsSkipped) {
-  // Schema 6/7 rows written by the removed multi-process mode carry a
-  // `worker` attribution key; it is skipped like any unknown key.
+  // Schema 7 rows written before the multi-process mode and path merging were
+  // removed carry `worker` and `paths_merged` keys; both are skipped like any
+  // unknown key.
   std::string path = TempPath("schema7_worker.jsonl");
   WriteFile(path,
             "{\"schema\":7,\"platform\":\"cafef00dcafef00d\",\"generator\":\"g\","
@@ -173,7 +165,7 @@ TEST(Journal, SchemaSixWorkerFieldIsSkipped) {
   ASSERT_TRUE(read.ok()) << read.status().message();
   ASSERT_EQ(read.value().size(), 1u);
   EXPECT_EQ(read.value()[0].generator, "g");
-  EXPECT_EQ(read.value()[0].paths_merged, 2);
+  EXPECT_EQ(read.value()[0].paths, 3);
   std::remove(path.c_str());
 }
 

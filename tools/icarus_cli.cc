@@ -139,13 +139,6 @@ int VerifyAllHelp() {
       "                  Debug/ablation: solve every query with the decide-only\n"
       "                  search (no conflict clause learning, no cross-path\n"
       "                  reuse). See EXPERIMENTS.md §\"Solver ablation\".\n"
-      "  --merge-paths   Fold compatible symbolic joins into ite-lifted states\n"
-      "                  instead of forking (default). The Merges column of\n"
-      "                  --stats counts the joins folded.\n"
-      "  --no-merge-paths\n"
-      "                  Debug/ablation: pure forking executor — every symbolic\n"
-      "                  branch forks two paths. The differential oracle for\n"
-      "                  merged mode; see EXPERIMENTS.md §\"Path merging\".\n"
       "  --stats         Also render the cost-attribution table: per-generator\n"
       "                  stage breakdown (CFA / generate / interpret / solve),\n"
       "                  decision/propagation counts, learned clauses, restarts,\n"
@@ -900,10 +893,6 @@ int Run(int argc, char** argv) {
         }
       } else if (flag == "--no-clause-learning") {
         options.solver_options.clause_learning = false;
-      } else if (flag == "--merge-paths") {
-        options.merge_paths = true;
-      } else if (flag == "--no-merge-paths") {
-        options.merge_paths = false;
       } else if (flag == "--retries" && i + 1 < argc) {
         if (!IntFlag(flag, argv[++i], 0, kIntMax, &options.retries)) {
           return 2;
