@@ -37,7 +37,6 @@ icarus::daemon::Request VerifyRequest(const std::string& generator) {
   icarus::daemon::Request req;
   req.op = icarus::daemon::kOpVerify;
   req.generator = generator;
-  req.client = "bench";
   return req;
 }
 
@@ -107,9 +106,6 @@ int main(int argc, char** argv) {
   // Daemon shapes: one core, first pass fills the warm view, later rounds
   // are served from it.
   icarus::daemon::DaemonOptions options;
-  options.jobs = 1;
-  options.admission.burst = 1e9;  // Latency bench, not an admission bench.
-  options.admission.rate_per_sec = 1e9;
   icarus::daemon::ServerCore core(platform.get(), options);
   icarus::Status started = core.Start();
   if (!started.ok()) {

@@ -13,13 +13,6 @@ std::string Request::ToJsonLine() const {
   AppendJsonString(op, &out);
   out += ",\"gen\":";
   AppendJsonString(generator, &out);
-  out += ",\"client\":";
-  AppendJsonString(client, &out);
-  out += StrFormat(",\"deadline_ms\":%.17g", deadline_ms);
-  if (!format.empty()) {
-    out += ",\"format\":";
-    AppendJsonString(format, &out);
-  }
   out.push_back('}');
   return out;
 }
@@ -37,17 +30,11 @@ Status ParseRequest(std::string_view line, Request* request) {
           request->op = std::move(value);
         } else if (key == "gen") {
           request->generator = std::move(value);
-        } else if (key == "client") {
-          request->client = std::move(value);
-        } else if (key == "format") {
-          request->format = std::move(value);
         }
       },
       [&](const std::string& key, double value) {
         if (key == "v") {
           request->v = static_cast<int>(value);
-        } else if (key == "deadline_ms") {
-          request->deadline_ms = value;
         }
       });
   if (!ok) {
@@ -61,20 +48,12 @@ Status ParseRequest(std::string_view line, Request* request) {
                                    request->v, kProtocolVersion));
   }
   if (request->op != kOpPing && request->op != kOpVerify && request->op != kOpStats &&
-      request->op != kOpShutdown && request->op != kOpMetrics) {
-    return Status::Error(StrCat("unknown op '", request->op,
-                                "' (want ping, verify, stats, metrics, or shutdown)"));
+      request->op != kOpShutdown) {
+    return Status::Error(
+        StrCat("unknown op '", request->op, "' (want ping, verify, stats, or shutdown)"));
   }
   if (request->op == kOpVerify && request->generator.empty()) {
     return Status::Error("verify request without a 'gen' field");
-  }
-  if (request->op == kOpMetrics && !request->format.empty() && request->format != "prom" &&
-      request->format != "json") {
-    return Status::Error(StrCat("unknown metrics format '", request->format,
-                                "' (want prom or json)"));
-  }
-  if (request->deadline_ms < 0) {
-    return Status::Error("negative deadline_ms");
   }
   return Status::Ok();
 }
@@ -94,14 +73,9 @@ std::string Response::ToJsonLine() const {
   out += StrFormat(",\"seconds\":%.17g", seconds);
   out += StrCat(",\"paths\":", std::to_string(paths));
   out += StrCat(",\"queries\":", std::to_string(queries));
-  out += StrFormat(",\"retry_after_ms\":%.17g", retry_after_ms);
   if (!stats_json.empty()) {
     out += ",\"stats_json\":";
     AppendJsonString(stats_json, &out);
-  }
-  if (!metrics.empty()) {
-    out += ",\"metrics\":";
-    AppendJsonString(metrics, &out);
   }
   out.push_back('}');
   return out;
@@ -124,8 +98,6 @@ Status ParseResponse(std::string_view line, Response* response) {
           response->error = std::move(value);
         } else if (key == "stats_json") {
           response->stats_json = std::move(value);
-        } else if (key == "metrics") {
-          response->metrics = std::move(value);
         }
       },
       [&](const std::string& key, double value) {
@@ -139,8 +111,6 @@ Status ParseResponse(std::string_view line, Response* response) {
           response->paths = static_cast<int64_t>(value);
         } else if (key == "queries") {
           response->queries = static_cast<int64_t>(value);
-        } else if (key == "retry_after_ms") {
-          response->retry_after_ms = value;
         }
       });
   if (!ok) {

@@ -1,10 +1,6 @@
 #include "src/daemon/server.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <exception>
-#include <fstream>
-#include <future>
 
 #include <sys/stat.h>
 
@@ -13,7 +9,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/support/failpoint.h"
-#include "src/support/flat_json.h"
 #include "src/support/net.h"
 #include "src/support/str_util.h"
 #include "src/support/timing.h"
@@ -59,17 +54,6 @@ obs::Histogram* OpHistogram(const std::string& op) {
 
 }  // namespace
 
-// One queued verify request, allocated on the Execute() caller's stack:
-// exactly one of the worker pool or the drain path fulfils the promise, and
-// Execute() always waits on the future before returning, so the ticket
-// outlives every reference to it.
-struct ServerCore::Ticket {
-  Request request;
-  std::string unit_fp;
-  std::atomic<bool> cancel{false};
-  std::promise<Response> promise;
-};
-
 std::string DaemonStats::ToJson() const {
   obs::JsonWriter w;
   w.BeginObject();
@@ -77,63 +61,23 @@ std::string DaemonStats::ToJson() const {
   w.Key("served").Int(served);
   w.Key("warm_hits").Int(warm_hits);
   w.Key("cached_safe").Int(cached_safe);
-  w.Key("shed_rate").Int(shed_rate);
-  w.Key("shed_queue").Int(shed_queue);
-  w.Key("quarantined").Int(quarantined);
   w.Key("rejected_draining").Int(rejected_draining);
-  w.Key("bad_requests").Int(bad_requests);
   w.Key("internal_errors").Int(internal_errors);
-  w.Key("deadline_cancelled").Int(deadline_cancelled);
-  w.Key("queue_depth").Int(queue_depth);
   w.Key("in_flight").Int(in_flight);
-  w.Key("quarantine_active").Int(quarantine_active);
   w.Key("replayed").Int(replayed);
   w.Key("read_only_cache").Bool(read_only_cache);
-  w.Key("clients").BeginObject();
-  for (const auto& [name, stats] : clients) {
-    w.Key(name).BeginObject();
-    w.Key("admitted").Int(stats.admitted);
-    w.Key("shed_rate").Int(stats.shed_rate);
-    w.Key("shed_queue").Int(stats.shed_queue);
-    w.EndObject();
-  }
-  w.EndObject();
-  w.Key("quarantine").BeginArray();
-  for (const Quarantine::Entry& entry : quarantine) {
-    w.BeginObject();
-    w.Key("generator").String(entry.generator);
-    w.Key("strikes").Int(entry.strikes);
-    w.Key("until").Double(entry.until);
-    w.EndObject();
-  }
-  w.EndArray();
   w.EndObject();
   return w.Take();
 }
 
 ServerCore::ServerCore(const platform::Platform* platform, const DaemonOptions& options)
-    : platform_(platform),
-      options_(options),
-      epoch_(std::chrono::steady_clock::now()),
-      admission_(options.admission),
-      quarantine_(options.quarantine) {
-  if (options_.jobs <= 0) {
-    options_.jobs = 1;
-  }
-}
+    : platform_(platform), options_(options) {}
 
 ServerCore::~ServerCore() {
   if (started_) {
     BeginDrain();
     (void)FinishDrain();
   }
-}
-
-double ServerCore::Now() const {
-  if (options_.clock) {
-    return options_.clock();
-  }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - epoch_).count();
 }
 
 Status ServerCore::Start() {
@@ -172,14 +116,11 @@ Status ServerCore::Start() {
       }
     }
   }
-  if (options_.use_cache) {
-    cache_ = std::make_unique<sym::SolverCache>();
-    if (persistence_enabled_ && !solver_store_path_.empty()) {
-      sym::CacheLoadResult loaded =
-          sym::LoadSolverCache(solver_store_path_, verifier::kVerifierEpoch, cache_.get());
-      if (!loaded.note.empty()) {
-        notes_.push_back(loaded.note);
-      }
+  if (persistence_enabled_ && !solver_store_path_.empty()) {
+    sym::CacheLoadResult loaded =
+        sym::LoadSolverCache(solver_store_path_, verifier::kVerifierEpoch, &cache_);
+    if (!loaded.note.empty()) {
+      notes_.push_back(loaded.note);
     }
   }
 
@@ -215,11 +156,6 @@ Status ServerCore::Start() {
     }
     journal_ = writer.take();
   }
-
-  workers_.reserve(options_.jobs);
-  for (int i = 0; i < options_.jobs; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
   started_ = true;
   return Status::Ok();
 }
@@ -243,24 +179,6 @@ std::string ServerCore::UnitFingerprint(const std::string& generator) {
   std::lock_guard<std::mutex> lock(mu_);
   unit_fp_cache_[generator] = fp;
   return fp;
-}
-
-void ServerCore::UpdateGauges() {
-  if (!obs::Enabled()) {
-    return;
-  }
-  static obs::Gauge* depth = obs::Registry::Global().GetGauge(
-      "icarus_daemon_queue_depth", "Verify requests waiting in the bounded queue");
-  static obs::Gauge* in_flight = obs::Registry::Global().GetGauge(
-      "icarus_daemon_in_flight", "Verify requests currently executing");
-  static obs::Gauge* quarantine_active = obs::Registry::Global().GetGauge(
-      "icarus_daemon_quarantine_active", "Targets currently inside a quarantine window");
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    depth->Set(static_cast<int64_t>(queue_.size()));
-    in_flight->Set(static_cast<int64_t>(active_.size()));
-  }
-  quarantine_active->Set(quarantine_.ActiveCount(Now()));
 }
 
 void ServerCore::AppendJournal(const verifier::JournalRecord& record) {
@@ -303,11 +221,6 @@ Response ServerCore::Execute(const Request& request) {
       out.stats_json = StatsSnapshot().ToJson();
       return out;
     }
-    if (request.op == kOpMetrics) {
-      out = ExecuteMetrics(request);
-      out.id = request.id;
-      return out;
-    }
     if (request.op == kOpShutdown) {
       shutdown_requested_.store(true, std::memory_order_release);
       out.status = kStatusOk;
@@ -324,69 +237,18 @@ Response ServerCore::Execute(const Request& request) {
   return resp;
 }
 
-Response ServerCore::ExecuteMetrics(const Request& request) {
-  Response resp;
-  resp.status = kStatusOk;
-  UpdateGauges();  // Refresh occupancy gauges at scrape time.
-  resp.metrics = request.format == "json" ? obs::Registry::Global().RenderJson()
-                                          : obs::Registry::Global().RenderPrometheus();
-  return resp;
-}
-
-void ServerCore::MaybeLogSlow(const Request& request,
-                              const verifier::GeneratorResult& result) {
-  double ms = result.seconds * 1e3;
-  if (options_.slow_ms <= 0 || ms < options_.slow_ms) {
-    return;
-  }
-  // One flat JSON line per slow request, reusing the journal's per-stage
-  // cost attribution so "where did the time go" is answerable from the log
-  // alone: total = queue-excluded service time, stages = CFA build, the two
-  // meta-execution phases (solver time excluded), and solver wall time.
-  std::string line = "{\"slow_request\":true,\"gen\":";
-  AppendJsonString(result.generator, &line);
-  line += ",\"client\":";
-  AppendJsonString(request.client.empty() ? "anon" : request.client, &line);
-  line += ",\"outcome\":";
-  AppendJsonString(verifier::OutcomeName(result.outcome), &line);
-  line += StrFormat(",\"seconds\":%.17g,\"slow_ms\":%.17g", result.seconds, options_.slow_ms);
-  line += StrFormat(",\"cfa_s\":%.17g,\"gen_s\":%.17g,\"interp_s\":%.17g,\"solve_s\":%.17g",
-                    result.report.cfa_seconds, result.report.meta.gen_seconds,
-                    result.report.meta.interp_seconds, result.report.meta.solve_seconds);
-  line += StrCat(",\"paths\":", std::to_string(result.report.meta.paths_explored),
-                 ",\"queries\":", std::to_string(result.report.meta.solver_queries), "}\n");
-  if (obs::Enabled()) {
-    static obs::Counter* slow = obs::Registry::Global().GetCounter(
-        "icarus_daemon_slow_requests_total",
-        "Verify requests slower than the --slow-ms threshold");
-    slow->Add(1);
-  }
-  std::lock_guard<std::mutex> lock(slow_mu_);
-  if (options_.slow_log_path.empty()) {
-    std::fwrite(line.data(), 1, line.size(), stderr);
-    return;
-  }
-  std::ofstream out(options_.slow_log_path, std::ios::binary | std::ios::app);
-  if (out) {
-    out << line;
-  }
-}
-
 Response ServerCore::ExecuteVerify(const Request& request) {
-  Response resp;
-  resp.generator = request.generator;
-
-  if (draining()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.rejected_draining;
-    resp.status = kStatusShuttingDown;
-    return resp;
-  }
-
-  // Warm view: a decisive verdict this service (or the journal it replayed)
-  // already earned. Free — no admission cost, no queueing.
   {
     std::lock_guard<std::mutex> lock(mu_);
+    if (draining_.load(std::memory_order_acquire)) {
+      ++counters_.rejected_draining;
+      Response resp;
+      resp.status = kStatusShuttingDown;
+      resp.generator = request.generator;
+      return resp;
+    }
+    // Warm view: a decisive verdict this service (or the journal it
+    // replayed) already earned. Free — no work at all.
     auto it = warm_.find(request.generator);
     if (it != warm_.end()) {
       ++counters_.warm_hits;
@@ -395,189 +257,76 @@ Response ServerCore::ExecuteVerify(const Request& request) {
             "icarus_daemon_warm_hits_total", "Requests served from the warm verdict view");
         warm->Add(1);
       }
-      Response out = it->second;
-      return out;
+      return it->second;
     }
+    // Counted under the same lock that BeginDrain sets draining_ under, so
+    // FinishDrain's wait covers every verification that got past the check.
+    ++counters_.in_flight;
   }
 
-  double now = Now();
-  Quarantine::Check check = quarantine_.Probe(request.generator, now);
-  if (check.quarantined) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.quarantined;
-    }
-    if (obs::Enabled()) {
-      static obs::Counter* refused = obs::Registry::Global().GetCounter(
-          "icarus_daemon_quarantine_refusals_total",
-          "Requests refused because their target is quarantined");
-      refused->Add(1);
-    }
-    resp.status = kStatusQuarantined;
-    resp.error = StrCat("generator '", request.generator,
-                        "' is quarantined after repeated internal errors");
-    resp.retry_after_ms = check.retry_after_s * 1e3;
-    return resp;
-  }
-
-  int depth;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    depth = static_cast<int>(queue_.size());
-  }
-  std::string client = request.client.empty() ? "anon" : request.client;
-  double retry_after_s = 0;
-  AdmissionController::Decision decision = admission_.Admit(client, depth, now, &retry_after_s);
-  if (decision != AdmissionController::Decision::kAdmit) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (decision == AdmissionController::Decision::kShedRate) {
-        ++counters_.shed_rate;
-      } else {
-        ++counters_.shed_queue;
-      }
-    }
-    if (obs::Enabled()) {
-      static obs::Counter* shed = obs::Registry::Global().GetCounter(
-          "icarus_daemon_shed_total", "Requests shed by admission control");
-      shed->Add(1);
-    }
-    resp.status = kStatusOverloaded;
-    resp.error = decision == AdmissionController::Decision::kShedRate
-                     ? StrCat("client '", client, "' is over its request budget")
-                     : "request queue is full";
-    resp.retry_after_ms = retry_after_s * 1e3;
-    return resp;
-  }
-
-  Ticket ticket;
-  ticket.request = request;
-  if (options_.incremental && persistence_enabled_) {
-    ticket.unit_fp = UnitFingerprint(request.generator);
-  }
-  std::future<Response> future = ticket.promise.get_future();
+  Response resp;
   try {
-    ICARUS_FAILPOINT(failpoint::kDaemonEnqueue);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (draining_.load(std::memory_order_acquire)) {
-      ++counters_.rejected_draining;
-      resp.status = kStatusShuttingDown;
-      return resp;
-    }
-    queue_.push_back(&ticket);
+    resp = ServeVerify(request);
   } catch (const std::exception& e) {
-    // An enqueue fault burns only this request: nothing was queued, so
-    // answering ERROR (retryable) is honest.
+    // ServeVerify contains verification crashes itself; this net catches a
+    // fault in the serving bookkeeping around it.
+    resp = Response{};
     resp.status = kStatusError;
+    resp.generator = request.generator;
     resp.error = e.what();
-    return resp;
   }
-  cv_.notify_one();
-  UpdateGauges();
-
-  // Per-request deadline: wait for the worker, and past the deadline flip
-  // this ticket's cancel flag — the verification observes it at its next
-  // path boundary and degrades to INCONCLUSIVE. The wait after cancellation
-  // is bounded by one path's solver budget.
-  double deadline_ms =
-      request.deadline_ms > 0 ? request.deadline_ms : options_.default_deadline_ms;
-  if (deadline_ms > 0) {
-    auto wait = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-        std::chrono::duration<double>(deadline_ms / 1e3));
-    if (future.wait_for(wait) == std::future_status::timeout) {
-      ticket.cancel.store(true, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.deadline_cancelled;
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (--counters_.in_flight == 0) {
+    idle_cv_.notify_all();
   }
-  Response out = future.get();
-  out.generator = request.generator;
-  UpdateGauges();
-  return out;
+  return resp;
 }
 
-void ServerCore::WorkerLoop() {
-  while (true) {
-    Ticket* ticket = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_workers_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stop_workers_) {
-          return;
-        }
-        continue;
-      }
-      ticket = queue_.front();
-      queue_.pop_front();
-      active_.insert(ticket);
-    }
-    Response resp;
-    try {
-      resp = ServeVerify(ticket);
-    } catch (const std::exception& e) {
-      // ServeVerify contains verification crashes itself; this net catches a
-      // fault in the serving bookkeeping around it. The promise must be
-      // fulfilled either way — the Execute() caller is blocked on it.
-      resp = Response{};
-      resp.status = kStatusError;
-      resp.generator = ticket->request.generator;
-      resp.error = e.what();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      active_.erase(ticket);
-    }
-    ticket->promise.set_value(std::move(resp));
-  }
-}
-
-Response ServerCore::ServeVerify(Ticket* ticket) {
-  const Request& request = ticket->request;
+Response ServerCore::ServeVerify(const Request& request) {
   obs::ScopedSpan verify_span("daemon.verify", request.generator);
   Response resp;
   resp.status = kStatusOk;
   resp.generator = request.generator;
+  std::string unit_fp;
+  if (options_.incremental && persistence_enabled_) {
+    unit_fp = UnitFingerprint(request.generator);
+  }
 
   verifier::GeneratorResult result;
   result.generator = request.generator;
-  result.unit_fp = ticket->unit_fp;
+  result.unit_fp = unit_fp;
   result.budget_decisions = options_.solver_limits.max_decisions;
   result.budget_seconds = options_.solver_limits.max_seconds;
 
   // Persistent-store hit: an unchanged unit previously VERIFIED under this
   // exact budget — same contract as `verify-all --incremental`.
-  if (!ticket->unit_fp.empty() &&
-      store_.FindPass(request.generator, ticket->unit_fp, options_.solver_limits) != nullptr) {
-    result.outcome = verifier::Outcome::kCachedSafe;
-    resp.outcome = verifier::OutcomeName(result.outcome);
-    resp.cached = true;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
+  if (!unit_fp.empty()) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (store_.FindPass(request.generator, unit_fp, options_.solver_limits) != nullptr) {
+      result.outcome = verifier::Outcome::kCachedSafe;
+      resp.outcome = verifier::OutcomeName(result.outcome);
+      resp.cached = true;
       ++counters_.cached_safe;
       ++counters_.served;
-      warm_[request.generator] = [&] {
-        Response cached = resp;
-        cached.cached = true;
-        return cached;
-      }();
+      warm_[request.generator] = resp;
+      lock.unlock();
+      AppendJournal(verifier::RecordFromResult(result, fingerprint_));
+      return resp;
     }
-    AppendJournal(verifier::RecordFromResult(result, fingerprint_));
-    return resp;
   }
 
   WallTimer timer;
   // Containment boundary: a crash inside one request's verification (a
   // genuine bug or the daemon-dispatch fail point) becomes that request's
-  // INTERNAL_ERROR response and a quarantine strike; the worker, the queue,
-  // and every other request are untouched.
+  // INTERNAL_ERROR response; the connection and every other request are
+  // untouched.
   try {
     ICARUS_FAILPOINT(failpoint::kDaemonDispatch);
     verifier::VerifyOptions vopts;
     vopts.build_cfa = false;
-    vopts.solver_cache = cache_.get();
+    vopts.solver_cache = &cache_;
     vopts.solver_limits = options_.solver_limits;
-    vopts.cancel = &ticket->cancel;
+    vopts.cancel = &cancel_;
     verifier::Verifier verifier(platform_);
     StatusOr<verifier::VerifyReport> report = verifier.Verify(request.generator, vopts);
     result.seconds = timer.ElapsedSeconds();
@@ -608,10 +357,9 @@ Response ServerCore::ServeVerify(Ticket* ticket) {
 
   if (obs::Enabled()) {
     static obs::Histogram* seconds = obs::Registry::Global().GetHistogram(
-        "icarus_daemon_request_seconds", "Verify-request service time (queue wait excluded)");
+        "icarus_daemon_request_seconds", "Verify-request service time");
     seconds->Observe(result.seconds);
   }
-  MaybeLogSlow(request, result);
 
   if (result.outcome == verifier::Outcome::kInternalError) {
     {
@@ -624,9 +372,6 @@ Response ServerCore::ServeVerify(Ticket* ticket) {
           "Request crashes contained to an INTERNAL_ERROR response");
       contained->Add(1);
     }
-    quarantine_.RecordStrike(request.generator, Now());
-  } else {
-    quarantine_.RecordSuccess(request.generator);
   }
 
   bool decisive = result.outcome == verifier::Outcome::kVerified ||
@@ -642,7 +387,7 @@ Response ServerCore::ServeVerify(Ticket* ticket) {
     }
   }
   if (result.outcome == verifier::Outcome::kVerified && persistence_enabled_ &&
-      !read_only_cache_ && !ticket->unit_fp.empty()) {
+      !read_only_cache_ && !unit_fp.empty()) {
     verifier::JournalRecord pass = verifier::RecordFromResult(result, verifier::kVerifierEpoch);
     std::lock_guard<std::mutex> lock(mu_);
     store_.Put(pass);  // In-memory: later requests hit CACHED_SAFE.
@@ -654,45 +399,21 @@ Response ServerCore::ServeVerify(Ticket* ticket) {
 }
 
 void ServerCore::BeginDrain() {
-  std::vector<Ticket*> queued;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (draining_.exchange(true, std::memory_order_acq_rel)) {
-      return;
-    }
-    queued.assign(queue_.begin(), queue_.end());
-    queue_.clear();
-    // Cancel in-flight work; each verification stops at its next path
-    // boundary and its caller sees INCONCLUSIVE.
-    for (Ticket* ticket : active_) {
-      ticket->cancel.store(true, std::memory_order_relaxed);
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (draining_.exchange(true, std::memory_order_acq_rel)) {
+    return;
   }
-  // Fail queued-but-unstarted tickets fast, outside the lock (their
-  // Execute() callers are blocked on these promises).
-  for (Ticket* ticket : queued) {
-    Response resp;
-    resp.status = kStatusShuttingDown;
-    resp.generator = ticket->request.generator;
-    ticket->promise.set_value(std::move(resp));
-  }
-  cv_.notify_all();
-  UpdateGauges();
+  // Cancel in-flight work; each verification stops at its next path boundary
+  // and its caller sees INCONCLUSIVE.
+  cancel_.store(true, std::memory_order_relaxed);
 }
 
 Status ServerCore::FinishDrain() {
   BeginDrain();
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_workers_ = true;
+    std::unique_lock<std::mutex> lock(mu_);
+    idle_cv_.wait(lock, [this] { return counters_.in_flight == 0; });
   }
-  cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) {
-      worker.join();
-    }
-  }
-  workers_.clear();
   started_ = false;
 
   Status status = Status::Ok();
@@ -705,9 +426,9 @@ Status ServerCore::FinishDrain() {
       if (!saved.ok()) {
         status = saved;
       }
-      if (cache_ != nullptr && !solver_store_path_.empty()) {
+      if (!solver_store_path_.empty()) {
         Status cache_saved =
-            sym::SaveSolverCache(*cache_, solver_store_path_, verifier::kVerifierEpoch,
+            sym::SaveSolverCache(cache_, solver_store_path_, verifier::kVerifierEpoch,
                                  options_.cache_max_mb * 1024 * 1024);
         if (!cache_saved.ok() && status.ok()) {
           status = cache_saved;
@@ -731,13 +452,8 @@ DaemonStats ServerCore::StatsSnapshot() const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats = counters_;
-    stats.queue_depth = static_cast<int>(queue_.size());
-    stats.in_flight = static_cast<int>(active_.size());
   }
   stats.read_only_cache = read_only_cache_;
-  stats.clients = admission_.Snapshot();
-  stats.quarantine = quarantine_.Snapshot();
-  stats.quarantine_active = quarantine_.ActiveCount(Now());
   return stats;
 }
 

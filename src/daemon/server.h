@@ -3,56 +3,44 @@
 //
 // One ServerCore owns the warm state a long-lived service exists to keep:
 // the loaded Platform, the shared solver-result cache, the persistent
-// verdict store, a warm verdict view (generator → last decisive verdict,
-// restored from the journal on startup), and the worker pool that executes
-// verify requests. Transports (the Unix-socket loop in
+// verdict store, and a warm verdict view (generator → last decisive verdict,
+// restored from the journal on startup). Transports (the Unix-socket loop in
 // tools/icarusd_main.cc, in-process tests) parse requests off the wire and
 // call the synchronous, thread-safe `Execute()` — one call per request,
-// blocking until that request's response is ready. Each connection thread
-// therefore paces its own client (responses per connection stay in request
-// order) while independent connections proceed concurrently.
+// returning that request's response. Verification runs directly on the
+// calling thread, so each connection thread paces its own client (responses
+// per connection stay in request order) while independent connections
+// proceed concurrently.
 //
-// Request lifecycle inside Execute():
+// A verify request inside Execute() is answered by the first of:
 //
 //   draining? ──────────────▶ SHUTTING_DOWN
-//   warm view hit ──────────▶ OK (cached=true; no work, no admission cost)
-//   quarantined target? ────▶ QUARANTINED (+retry_after_ms)
-//   admission control ──────▶ OVERLOADED on a rate or queue shed
-//   bounded queue ──────────▶ worker dispatch inside the containment
-//                             boundary; per-request deadline flips the
-//                             ticket's cancel flag → INCONCLUSIVE
+//   warm view hit ──────────▶ OK (cached=true; no work)
+//   persistent store hit ───▶ OK (CACHED_SAFE; journaled)
+//   Verifier::Verify ───────▶ OK with the verdict, run on the caller's
+//                             thread inside the containment boundary
 //
 // Failure domains: a request that throws (a genuine bug or an injected
-// fault at daemon-dispatch) burns only itself — the worker catches at the
-// boundary, answers INTERNAL_ERROR, and records a quarantine strike for the
-// target; after `quarantine.strikes` consecutive strikes the target is
-// refused up front with exponential backoff. Drain (BeginDrain/FinishDrain)
-// stops admission, fails queued tickets fast with SHUTTING_DOWN, cancels
-// in-flight work, then saves the persistent stores. The journal is fsync'd
-// per record at append time, so a crash loses at most the record being
-// written and a restarted daemon replays the journal back into an identical
-// warm view.
+// fault at daemon-dispatch) burns only itself — Execute() catches at the
+// boundary and answers INTERNAL_ERROR. Drain (BeginDrain/FinishDrain) stops
+// serving verify work, cancels in-flight verifications (their callers see
+// INCONCLUSIVE), waits for them to return, then saves the persistent stores.
+// The journal is fsync'd per record at append time, so a crash loses at most
+// the record being written and a restarted daemon replays the journal back
+// into an identical warm view.
 #ifndef ICARUS_DAEMON_SERVER_H_
 #define ICARUS_DAEMON_SERVER_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
-#include "src/daemon/admission.h"
 #include "src/daemon/protocol.h"
-#include "src/daemon/quarantine.h"
 #include "src/platform/platform.h"
 #include "src/support/file_lock.h"
 #include "src/support/status.h"
@@ -61,24 +49,14 @@
 #include "src/verifier/journal.h"
 #include "src/verifier/verdict_store.h"
 
-namespace icarus::verifier {
-struct GeneratorResult;
-}  // namespace icarus::verifier
-
 namespace icarus::daemon {
 
 struct DaemonOptions {
-  int jobs = 1;  // Worker threads executing verify requests.
-  AdmissionController::Options admission;
-  Quarantine::Options quarantine;
-  // Deadline applied to requests that do not carry their own; 0 = none.
-  double default_deadline_ms = 0;
   // Per-query solver budgets for every verification this daemon runs (the
   // budget is part of the verdict-store key, so it is service config, not
   // per-request — two clients asking under different budgets would defeat
   // the warm view).
   sym::Solver::Limits solver_limits;
-  bool use_cache = true;  // Shared in-memory solver-result cache.
   // When non-empty, every verdict is appended (fsync'd) here and replayed
   // into the warm view on startup.
   std::string journal_path;
@@ -88,37 +66,19 @@ struct DaemonOptions {
   bool incremental = false;
   std::string cache_dir = ".icarus-cache";
   int64_t cache_max_mb = 64;
-  // Observability. slow_ms > 0 appends one flat JSON line per verify request
-  // slower than the threshold to slow_log_path (stderr when empty), with the
-  // journal's per-stage cost attribution.
-  double slow_ms = 0;
-  std::string slow_log_path;
-  // Monotonic seconds for admission/quarantine schedules; null uses the
-  // steady clock. Injected by tests to drive backoff deterministically.
-  std::function<double()> clock;
 };
 
-// Point-in-time service counters, exported via the `stats` op and mirrored
-// into the obs registry (icarus_daemon_* instruments).
+// Point-in-time service counters, exported via the `stats` op.
 struct DaemonStats {
-  int64_t requests = 0;        // Every Execute() call.
-  int64_t served = 0;          // Verify requests that ran to a verdict.
-  int64_t warm_hits = 0;       // Served from the warm verdict view.
-  int64_t cached_safe = 0;     // Served from the persistent verdict store.
-  int64_t shed_rate = 0;       // OVERLOADED: per-client token bucket.
-  int64_t shed_queue = 0;      // OVERLOADED: bounded queue full.
-  int64_t quarantined = 0;     // Refused: target in quarantine.
+  int64_t requests = 0;     // Every Execute() call.
+  int64_t served = 0;       // Verify requests that ran to a verdict.
+  int64_t warm_hits = 0;    // Served from the warm verdict view.
+  int64_t cached_safe = 0;  // Served from the persistent verdict store.
   int64_t rejected_draining = 0;
-  int64_t bad_requests = 0;
-  int64_t internal_errors = 0;     // Contained crashes (strikes).
-  int64_t deadline_cancelled = 0;  // Requests degraded to INCONCLUSIVE.
-  int queue_depth = 0;
-  int in_flight = 0;
-  int64_t quarantine_active = 0;  // Targets currently inside a window.
-  int64_t replayed = 0;           // Warm-view entries restored at startup.
+  int64_t internal_errors = 0;  // Contained crashes.
+  int in_flight = 0;            // Verify requests currently executing.
+  int64_t replayed = 0;         // Warm-view entries restored at startup.
   bool read_only_cache = false;
-  std::vector<std::pair<std::string, ClientStats>> clients;
-  std::vector<Quarantine::Entry> quarantine;
 
   std::string ToJson() const;
 };
@@ -133,24 +93,24 @@ class ServerCore {
   ServerCore& operator=(const ServerCore&) = delete;
 
   // Loads the persistent stores (taking the advisory cache lock), replays
-  // the journal into the warm view, opens the journal for appending, and
-  // spawns the worker pool. Errors (unreadable journal, mismatched platform
-  // fingerprint) fail startup; store problems degrade with a note.
+  // the journal into the warm view, and opens the journal for appending.
+  // Errors (unreadable journal, mismatched platform fingerprint) fail
+  // startup; store problems degrade with a note.
   Status Start();
 
-  // Serves one request, blocking until its response is ready. Thread-safe;
-  // call from any number of transport threads.
+  // Serves one request on the calling thread and returns its response.
+  // Thread-safe; call from any number of transport threads.
   Response Execute(const Request& request);
 
-  // Stops admitting verify work: queued-but-unstarted tickets complete
-  // immediately with SHUTTING_DOWN, in-flight tickets are cancelled (their
-  // callers see INCONCLUSIVE). Idempotent; callable from a signal-driven
-  // transport thread.
+  // Stops serving verify work and pings (both answer SHUTTING_DOWN from now
+  // on) and cancels in-flight verifications (their callers see
+  // INCONCLUSIVE). Idempotent; callable from a signal-driven transport
+  // thread.
   void BeginDrain();
 
-  // Joins the workers and durably saves the persistent stores. Call after
-  // BeginDrain once the transport has stopped feeding Execute. Returns the
-  // first drain error (store save failure, injected daemon-drain fault).
+  // Waits for in-flight Execute() calls to return, then durably saves the
+  // persistent stores, closes the journal and drops the cache lock. Returns
+  // the first drain error (store save failure, injected daemon-drain fault).
   Status FinishDrain();
 
   bool draining() const { return draining_.load(std::memory_order_acquire); }
@@ -165,62 +125,42 @@ class ServerCore {
   const std::vector<std::string>& notes() const { return notes_; }
 
  private:
-  struct Ticket;
-
-  double Now() const;
-  // Runs one verify ticket to a response (worker thread; containment
-  // boundary lives here).
-  Response ServeVerify(Ticket* ticket);
   Response ExecuteVerify(const Request& request);
-  // The `metrics` op: this process's registry as an exposition document.
-  Response ExecuteMetrics(const Request& request);
-  // Appends one slow-request line (flat JSON) when the request cleared
-  // options_.slow_ms, with per-stage cost attribution from the report.
-  void MaybeLogSlow(const Request& request, const verifier::GeneratorResult& result);
-  void WorkerLoop();
+  // Answers one verify request from the persistent store or by running the
+  // verifier (containment boundary lives here).
+  Response ServeVerify(const Request& request);
   void AppendJournal(const verifier::JournalRecord& record);
   std::string UnitFingerprint(const std::string& generator);
-  void UpdateGauges();
 
   const platform::Platform* platform_;
   DaemonOptions options_;
-  std::chrono::steady_clock::time_point epoch_;
 
-  AdmissionController admission_;
-  Quarantine quarantine_;
-
-  // Serving state. `mu_` guards the queue, the active set, the warm view,
-  // and the counters; verification itself runs outside the lock.
+  // Serving state. `mu_` guards the warm view, the verdict store, the
+  // fingerprint cache and the counters; verification itself runs outside
+  // the lock. `idle_cv_` is signalled when counters_.in_flight drops to 0.
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Ticket*> queue_;
-  std::set<Ticket*> active_;
+  std::condition_variable idle_cv_;
   std::map<std::string, Response> warm_;  // Decisive verdicts only.
-  bool stop_workers_ = false;
-  std::vector<std::thread> workers_;
   std::atomic<bool> draining_{false};
+  // Every in-flight VerifyOptions::cancel points here; BeginDrain sets it.
+  std::atomic<bool> cancel_{false};
   std::atomic<bool> shutdown_requested_{false};
   bool started_ = false;
-
-  // Counters not derivable from admission_/quarantine_ (guarded by mu_).
   DaemonStats counters_;
 
   // Warm verification state.
-  std::unique_ptr<sym::SolverCache> cache_;
+  sym::SolverCache cache_;
   verifier::VerdictStore store_;
   std::unique_ptr<FileLock> cache_lock_;
   bool persistence_enabled_ = false;
   bool read_only_cache_ = false;
   std::string solver_store_path_;
-  std::map<std::string, std::string> unit_fp_cache_;  // Guarded by mu_.
+  std::map<std::string, std::string> unit_fp_cache_;
 
   // Journal (appends serialized by journal_mu_).
   std::string fingerprint_;
   std::mutex journal_mu_;
   std::unique_ptr<verifier::JournalWriter> journal_;
-
-  // Slow-request log appends (open/append/close per line; slow path only).
-  std::mutex slow_mu_;
 
   std::vector<std::string> notes_;
 };

@@ -52,7 +52,7 @@ const std::vector<std::string>& AllSites() {
   static const std::vector<std::string> kSites = {
       kSolverDecision, kCacheLookup,    kCacheInsert,   kPoolTask,
       kExternCall,     kBoogieLower,    kDaemonAccept,  kDaemonParse,
-      kDaemonEnqueue,  kDaemonDispatch, kDaemonRespond, kDaemonDrain,
+      kDaemonDispatch, kDaemonRespond,  kDaemonDrain,
   };
   return kSites;
 }

@@ -41,11 +41,10 @@ inline constexpr const char* kExternCall = "extern-call";
 inline constexpr const char* kBoogieLower = "boogie-lower";
 // Serving-loop sites (src/daemon/, tools/icarusd_main.cc): one per stage of
 // the request lifecycle, so tests can poison exactly one of accept, parse,
-// enqueue, dispatch, respond, or drain and prove the damage stays contained
-// to the affected request (or, for drain, surfaces as a drain error).
+// dispatch, respond, or drain and prove the damage stays contained to the
+// affected request (or, for drain, surfaces as a drain error).
 inline constexpr const char* kDaemonAccept = "daemon-accept";
 inline constexpr const char* kDaemonParse = "daemon-parse";
-inline constexpr const char* kDaemonEnqueue = "daemon-enqueue";
 inline constexpr const char* kDaemonDispatch = "daemon-dispatch";
 inline constexpr const char* kDaemonRespond = "daemon-respond";
 inline constexpr const char* kDaemonDrain = "daemon-drain";

@@ -22,7 +22,7 @@ std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 template <typename... Args>
 std::string StrCat(const Args&... args) {
   std::ostringstream os;
-  (os << ... << args);
+  ((os << args), ...);
   return os.str();
 }
 

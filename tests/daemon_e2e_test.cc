@@ -3,15 +3,14 @@
 // acceptance criteria the in-process suites cannot — a SIGTERM delivered in
 // the middle of a request storm drains to exit code 0 with the journal
 // fsync'd, and a restarted daemon replays that journal into an identical
-// warm verdict view. Also exercises the `icarus client` and `icarus top`
-// subcommands as real subprocesses.
+// warm verdict view. Also exercises the `icarus client` subcommand as a real
+// subprocess.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "src/daemon/protocol.h"
-#include "src/obs/metrics.h"
 #include "src/support/net.h"
 #include "src/verifier/journal.h"
 
@@ -116,7 +114,6 @@ Request VerifyReq(const std::string& generator) {
   Request req;
   req.op = kOpVerify;
   req.generator = generator;
-  req.client = "e2e";
   return req;
 }
 
@@ -132,7 +129,7 @@ int WaitForExit(pid_t pid) {
 
 TEST(DaemonE2E, ServesVerdictsOverTheSocketAndShutsDownOnRequest) {
   std::string socket = TempPath("e2e_basic.sock");
-  pid_t pid = SpawnDaemon({"--socket", socket, "--jobs", "2"});
+  pid_t pid = SpawnDaemon({"--socket", socket});
   ASSERT_GT(pid, 0);
   ASSERT_TRUE(AwaitReady(socket)) << "daemon never became ready";
 
@@ -199,8 +196,8 @@ TEST(DaemonE2E, ServesVerdictsOverTheSocketAndShutsDownOnRequest) {
 }
 
 // The acceptance scenario: SIGTERM lands in the middle of a request storm.
-// The daemon must stop accepting, resolve every in-flight and queued request
-// (verdict, INCONCLUSIVE, SHUTTING_DOWN, or a deliberate disconnect), fsync
+// The daemon must stop accepting, resolve every in-flight request (verdict,
+// INCONCLUSIVE, SHUTTING_DOWN, or a deliberate disconnect), fsync
 // its journal, and exit 0 — and a restarted daemon must replay that journal
 // into the same warm verdicts.
 TEST(DaemonE2E, SigtermMidStormDrainsToExitZeroAndJournalReplays) {
@@ -208,7 +205,7 @@ TEST(DaemonE2E, SigtermMidStormDrainsToExitZeroAndJournalReplays) {
   std::string journal = TempPath("e2e_drain.jsonl");
   std::remove(journal.c_str());
 
-  pid_t pid = SpawnDaemon({"--socket", socket, "--jobs", "2", "--journal", journal});
+  pid_t pid = SpawnDaemon({"--socket", socket, "--journal", journal});
   ASSERT_GT(pid, 0);
   ASSERT_TRUE(AwaitReady(socket)) << "daemon never became ready";
 
@@ -238,9 +235,9 @@ TEST(DaemonE2E, SigtermMidStormDrainsToExitZeroAndJournalReplays) {
     t.join();
   }
   for (const std::string& status : statuses) {
-    bool honest = status == kStatusOk || status == kStatusOverloaded ||
-                  status == kStatusShuttingDown || status == "DISCONNECTED" ||
-                  status == "CONNECT_FAILED" || status == "WRITE_FAILED";
+    bool honest = status == kStatusOk || status == kStatusShuttingDown ||
+                  status == "DISCONNECTED" || status == "CONNECT_FAILED" ||
+                  status == "WRITE_FAILED";
     EXPECT_TRUE(honest) << "status '" << status << "'";
   }
 
@@ -271,7 +268,7 @@ TEST(DaemonE2E, SigtermMidStormDrainsToExitZeroAndJournalReplays) {
 
   // Restart on the same journal: the warm view is restored — identical
   // verdicts, served cached, no recomputation.
-  pid_t second = SpawnDaemon({"--socket", socket, "--jobs", "1", "--journal", journal});
+  pid_t second = SpawnDaemon({"--socket", socket, "--journal", journal});
   ASSERT_GT(second, 0);
   ASSERT_TRUE(AwaitReady(socket)) << "restarted daemon never became ready";
   Response verified = RoundTrip(socket, VerifyReq("tryAttachCompareInt32"));
@@ -297,27 +294,35 @@ TEST(DaemonE2E, RejectsUnknownFailpointSiteAtStartup) {
 TEST(DaemonE2E, RejectsMalformedNumericFlagsAtStartup) {
   // Each of these used to start a daemon on a silent default (atoi/atof) or,
   // for --cache-max-mb, overflow the byte-count multiplication at drain.
+  // Flags icarusd does not define (serving-scale knobs such as --jobs or
+  // --queue) are refused as unknown flags, even with well-formed values.
   const std::vector<std::vector<std::string>> bad = {
-      {"--jobs", "abc"},
-      {"--queue", "8x"},
-      {"--rate", "fast"},
-      {"--deadline-ms", "-5"},
       {"--max-decisions", "99999999999999999999"},
+      {"--max-seconds", "-1"},
       {"--cache-max-mb", "9000000000000"},
+      {"--jobs", "2"},
+      {"--queue", "8"},
+      {"--rate", "16"},
+      {"--burst", "8"},
+      {"--strikes", "3"},
+      {"--deadline-ms", "5"},
+      {"--obs"},
+      {"--slow-ms", "5"},
+      {"--slow-log", TempPath("e2e_slow.jsonl")},
   };
   for (const std::vector<std::string>& flags : bad) {
     std::vector<std::string> args = {"--socket", TempPath("e2e_badflag.sock")};
     args.insert(args.end(), flags.begin(), flags.end());
     pid_t pid = SpawnDaemon(args);
     ASSERT_GT(pid, 0);
-    EXPECT_EQ(WaitForExit(pid), 2) << flags[0] << " " << flags[1];
+    EXPECT_EQ(WaitForExit(pid), 2) << flags[0];
   }
 }
 
 #ifdef ICARUS_CLI_PATH
 TEST(DaemonE2E, CliClientSubcommandRoundTrips) {
   std::string socket = TempPath("e2e_cli.sock");
-  pid_t pid = SpawnDaemon({"--socket", socket, "--jobs", "1"});
+  pid_t pid = SpawnDaemon({"--socket", socket});
   ASSERT_GT(pid, 0);
   ASSERT_TRUE(AwaitReady(socket)) << "daemon never became ready";
 
@@ -333,55 +338,25 @@ TEST(DaemonE2E, CliClientSubcommandRoundTrips) {
   EXPECT_EQ(std::system(buggy.c_str()), 0) << buggy;
   std::string stats = cli + " client --socket " + socket + " stats >/dev/null";
   EXPECT_EQ(std::system(stats.c_str()), 0) << stats;
+  // `icarus client` takes only --socket; any other flag, and a `top`
+  // subcommand, are usage errors.
+  for (const char* removed : {" --client ci", " --deadline-ms 5", " --retries 1"}) {
+    std::string cmd =
+        cli + " client --socket " + socket + removed + " ping >/dev/null 2>&1";
+    int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+  }
+  std::string top = cli + " top --socket " + socket + " >/dev/null 2>&1";
+  int top_status = std::system(top.c_str());
+  ASSERT_TRUE(WIFEXITED(top_status)) << top;
+  EXPECT_EQ(WEXITSTATUS(top_status), 2) << top;
   // shutdown drains the daemon.
   std::string bye = cli + " client --socket " + socket + " shutdown >/dev/null";
   EXPECT_EQ(std::system(bye.c_str()), 0) << bye;
   EXPECT_EQ(WaitForExit(pid), 0);
 }
 
-TEST(DaemonE2E, TopRendersTheDaemonRow) {
-  std::string socket = TempPath("e2e_top.sock");
-  pid_t pid = SpawnDaemon({"--socket", socket, "--jobs", "1", "--obs"});
-  ASSERT_GT(pid, 0);
-  ASSERT_TRUE(AwaitReady(socket)) << "daemon never became ready";
-  Response served = RoundTrip(socket, VerifyReq("tryAttachCompareInt32"));
-  EXPECT_EQ(served.status, kStatusOk) << served.error;
-
-  const std::string cli = ICARUS_CLI_PATH;
-  std::string cmd = cli + " top --socket " + socket + " --iterations 1";
-  FILE* pipe = ::popen(cmd.c_str(), "r");
-  ASSERT_NE(pipe, nullptr) << cmd;
-  std::string out;
-  char buf[512];
-  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
-    out += buf;
-  }
-  int status = ::pclose(pipe);
-  ASSERT_TRUE(WIFEXITED(status)) << cmd;
-  EXPECT_EQ(WEXITSTATUS(status), 0) << cmd << "\n" << out;
-  // Header plus one row named after the socket file, reachable and OK. With
-  // the metrics registry compiled in, the served request's latency fills the
-  // P50 column (a '-' there means the metrics poll failed).
-  EXPECT_NE(out.find("1 daemon,"), std::string::npos) << out;
-  EXPECT_NE(out.find("DAEMON"), std::string::npos) << out;
-  size_t row = out.find("\ne2e_top ");
-  ASSERT_NE(row, std::string::npos) << out;
-  std::istringstream line(out.substr(row + 1, out.find('\n', row + 1) - row - 1));
-  std::vector<std::string> cells;
-  for (std::string cell; line >> cell;) {
-    cells.push_back(cell);
-  }
-  ASSERT_EQ(cells.size(), 10u) << out;
-  EXPECT_EQ(cells[1], kStatusOk) << out;
-  if (obs::kCompiledIn) {
-    EXPECT_NE(cells[8], "-") << out;
-  }
-
-  Request bye;
-  bye.op = kOpShutdown;
-  EXPECT_EQ(RoundTrip(socket, bye).status, kStatusOk);
-  EXPECT_EQ(WaitForExit(pid), 0);
-}
 #endif  // ICARUS_CLI_PATH
 
 }  // namespace

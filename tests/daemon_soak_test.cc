@@ -1,15 +1,14 @@
-// Daemon soak suite: a hundred-plus concurrent clients against an
-// in-process ServerCore, with and without injected faults, proving the
-// overload story end to end — the bounded queue sheds honest OVERLOADED
-// responses instead of growing without bound, every request gets exactly one
-// response (the books balance), and a drain fired in the middle of the storm
-// still runs to a clean completion with queued work failed fast and in-flight
+// Daemon soak suite: a hundred-plus concurrent callers against an in-process
+// ServerCore with injected faults, proving drain and accounting under a
+// storm — every request gets exactly one honest response, and a drain fired
+// in the middle of the storm still runs to a clean completion with in-flight
 // work degraded, never dropped.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <string>
+#include <sys/socket.h>
 #include <thread>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "src/daemon/server.h"
 #include "src/platform/platform.h"
 #include "src/support/failpoint.h"
+#include "src/support/net.h"
 #include "src/support/status.h"
 
 namespace icarus::daemon {
@@ -50,26 +50,41 @@ class DaemonSoakTest : public ::testing::Test {
   }
   void TearDown() override { failpoint::DisarmAll(); }
 
-  static Request Verify(const std::string& generator, int i) {
+  static Request Verify(const std::string& generator) {
     Request req;
     req.op = kOpVerify;
     req.generator = generator;
-    // A handful of client identities, as a real fleet would present.
-    req.client = "soak-" + std::to_string(i % 4);
     return req;
   }
 
-  // Fires `count` one-request client threads and collects every response.
+  // Fires `count` client threads, each sending one verify request over its
+  // own connection served by ServeConnection (a socket pair stands in for
+  // the accepted Unix socket), and collects every response.
   static std::vector<Response> Storm(ServerCore* core, int count) {
     std::vector<Response> responses(count);
-    std::vector<std::thread> clients;
-    clients.reserve(count);
+    std::vector<std::thread> threads;
+    threads.reserve(2 * count);
     for (int i = 0; i < count; ++i) {
-      clients.emplace_back([core, &responses, i] {
-        responses[i] = core->Execute(Verify(kPool[i % kPool.size()], i));
+      int fds[2];
+      if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+        ADD_FAILURE() << "socketpair failed";
+        break;
+      }
+      threads.emplace_back([core, fd = fds[0]] { ServeConnection(core, fd); });
+      threads.emplace_back([&responses, i, fd = fds[1]] {
+        Response& resp = responses[i];
+        net::LineReader reader(fd);
+        std::string line;
+        std::string error;
+        if (!net::WriteLine(fd, Verify(kPool[i % kPool.size()]).ToJsonLine()).ok() ||
+            reader.ReadLine(&line, &error) != net::LineReader::Result::kLine ||
+            !ParseResponse(line, &resp).ok()) {
+          resp.status = "DISCONNECTED";
+        }
+        net::CloseFd(fd);
       });
     }
-    for (std::thread& t : clients) {
+    for (std::thread& t : threads) {
       t.join();
     }
     return responses;
@@ -80,75 +95,21 @@ class DaemonSoakTest : public ::testing::Test {
 
 platform::Platform* DaemonSoakTest::platform_ = nullptr;
 
-// The headline overload scenario from the acceptance criteria: queue bound Q,
-// well over 2Q concurrent requests. Memory stays bounded because the queue
-// does; the overflow is shed with OVERLOADED, and the accounting is exact.
-TEST_F(DaemonSoakTest, OverloadStormShedsInsteadOfGrowing) {
-  constexpr int kQueueLimit = 8;
-  constexpr int kClients = 120;  // 15x the queue bound.
-
-  DaemonOptions options;
-  options.jobs = 2;
-  options.admission.queue_limit = kQueueLimit;
-  // Generous per-client budgets so the *queue* bound is the gate under test.
-  options.admission.burst = kClients;
-  options.admission.rate_per_sec = kClients;
-  ServerCore core(platform_, options);
-  ASSERT_TRUE(core.Start().ok());
-
-  std::vector<Response> responses = Storm(&core, kClients);
-
-  int ok = 0;
-  int overloaded = 0;
-  for (const Response& resp : responses) {
-    if (resp.status == kStatusOk) {
-      ++ok;
-      // No wrong verdicts under load: healthy generators verify or (if a
-      // drain/cancel raced) stay inconclusive — never COUNTEREXAMPLE.
-      EXPECT_NE(resp.outcome, "COUNTEREXAMPLE") << resp.generator;
-      EXPECT_NE(resp.outcome, "INTERNAL_ERROR") << resp.generator << ": " << resp.error;
-    } else {
-      ASSERT_EQ(resp.status, kStatusOverloaded) << resp.status << " " << resp.error;
-      EXPECT_GT(resp.retry_after_ms, 0);
-      ++overloaded;
-    }
-  }
-  EXPECT_EQ(ok + overloaded, kClients);
-  // With 120 requests racing two workers through a queue of 8, shedding is
-  // not optional; and the first arrivals must still have been served.
-  EXPECT_GE(overloaded, 1);
-  EXPECT_GE(ok, 1);
-
-  // Exact bookkeeping: one counted disposition per request, queue empty at
-  // rest, nothing in flight.
-  DaemonStats stats = core.StatsSnapshot();
-  EXPECT_EQ(stats.requests, kClients);
-  EXPECT_EQ(stats.served + stats.warm_hits, ok);
-  EXPECT_EQ(stats.shed_rate + stats.shed_queue, overloaded);
-  EXPECT_EQ(stats.queue_depth, 0);
-  EXPECT_EQ(stats.in_flight, 0);
-  EXPECT_TRUE(core.FinishDrain().ok());
-}
-
-// Fault storm + mid-storm drain: seeded probabilistic faults at the enqueue
-// and dispatch sites while 120 clients hammer the core, then BeginDrain fired
-// from outside once the storm is rolling. Every client still gets exactly one
-// honest response and the drain completes cleanly.
+// Fault storm + mid-storm drain: seeded probabilistic faults at the dispatch
+// site (inside the core) and the respond site (in the connection loop, driven
+// here over socket pairs) while 120 callers hammer the core, then BeginDrain
+// fired from outside once the storm is rolling. Every caller still gets
+// exactly one honest response and the drain completes cleanly.
 TEST_F(DaemonSoakTest, FaultStormWithMidStormDrainCompletesCleanly) {
   constexpr int kClients = 120;
 
-  DaemonOptions options;
-  options.jobs = 2;
-  options.admission.queue_limit = 16;
-  options.admission.burst = kClients;
-  options.admission.rate_per_sec = kClients;
-  ServerCore core(platform_, options);
+  ServerCore core(platform_, DaemonOptions{});
   ASSERT_TRUE(core.Start().ok());
 
   ASSERT_TRUE(
       failpoint::Arm(std::string("p=") + failpoint::kDaemonDispatch + ":0.15,seed=3").ok());
   ASSERT_TRUE(
-      failpoint::Arm(std::string("p=") + failpoint::kDaemonEnqueue + ":0.05,seed=5").ok());
+      failpoint::Arm(std::string("p=") + failpoint::kDaemonRespond + ":0.05,seed=5").ok());
 
   // The drain races the storm from a separate thread: wait for the service
   // to have actually served something, then pull the plug.
@@ -171,8 +132,7 @@ TEST_F(DaemonSoakTest, FaultStormWithMidStormDrainCompletesCleanly) {
     // The complete set of honest dispositions under fault + drain; anything
     // else (an empty status, a hang — the join above already rules that
     // out) is a dropped request.
-    bool valid = resp.status == kStatusOk || resp.status == kStatusOverloaded ||
-                 resp.status == kStatusQuarantined || resp.status == kStatusShuttingDown ||
+    bool valid = resp.status == kStatusOk || resp.status == kStatusShuttingDown ||
                  resp.status == kStatusError;
     ASSERT_TRUE(valid) << "status '" << resp.status << "' error '" << resp.error << "'";
     if (resp.status == kStatusShuttingDown) {
@@ -195,26 +155,22 @@ TEST_F(DaemonSoakTest, FaultStormWithMidStormDrainCompletesCleanly) {
   EXPECT_TRUE(core.FinishDrain().ok());
 
   // Post-drain the core refuses new work honestly.
-  EXPECT_EQ(core.Execute(Verify("tryAttachInt32Add", 0)).status, kStatusShuttingDown);
+  EXPECT_EQ(core.Execute(Verify("tryAttachInt32Add")).status, kStatusShuttingDown);
   (void)shut_down;  // How many were failed fast depends on timing; zero is legal.
 }
 
 // Repeated drain storms: BeginDrain/FinishDrain are idempotent and a core
-// can be destroyed immediately after a storm without leaking tickets (ASan
+// can be destroyed immediately after a storm without leaking anything (ASan
 // runs of this test are the proof).
 TEST_F(DaemonSoakTest, DrainIsIdempotentUnderConcurrentCallers) {
-  DaemonOptions options;
-  options.jobs = 2;
-  options.admission.burst = 64;
-  options.admission.rate_per_sec = 64;
-  ServerCore core(platform_, options);
+  ServerCore core(platform_, DaemonOptions{});
   ASSERT_TRUE(core.Start().ok());
 
   std::vector<std::thread> clients;
   std::atomic<int> responded{0};
   for (int i = 0; i < 32; ++i) {
     clients.emplace_back([&core, &responded, i] {
-      (void)core.Execute(Verify(kPool[i % kPool.size()], i));
+      (void)core.Execute(Verify(kPool[i % kPool.size()]));
       responded.fetch_add(1);
     });
   }

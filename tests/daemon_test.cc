@@ -1,15 +1,12 @@
 // Daemon serving-layer suite: wire-protocol round-trips and rejection
-// diagnostics, token-bucket admission under a fake clock, deterministic
-// quarantine backoff (exponential windows with bounded jitter), and the
-// ServerCore request lifecycle end to end — real verdicts, the warm view,
-// load shedding, per-request deadlines degrading to INCONCLUSIVE, contained
-// dispatch faults feeding quarantine, graceful drain, journal replay into a
-// warm restart, and read-only degradation when another process holds the
-// cache lock. Everything here is in-process; daemon_e2e_test.cc covers the
-// real icarusd binary over a Unix socket.
+// diagnostics, and the ServerCore request lifecycle end to end — real
+// verdicts, the warm view, CACHED_SAFE answers from the persistent store,
+// contained dispatch faults, graceful drain, journal replay into a warm
+// restart, and read-only degradation when another process holds the cache
+// lock. Everything here is in-process; daemon_e2e_test.cc covers the real
+// icarusd binary over a Unix socket.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -18,12 +15,8 @@
 #include <thread>
 #include <vector>
 
-#include "src/daemon/admission.h"
 #include "src/daemon/protocol.h"
-#include "src/daemon/quarantine.h"
 #include "src/daemon/server.h"
-#include "src/obs/exposition.h"
-#include "src/obs/metrics.h"
 #include "src/platform/platform.h"
 #include "src/support/failpoint.h"
 #include "src/support/status.h"
@@ -41,11 +34,9 @@ std::string TempPath(const std::string& name) {
 
 TEST(Protocol, RequestRoundTripsAllFields) {
   Request req;
-  req.id = "req-7";
+  req.id = "ci \"shard\\3\"\n";  // Quotes, backslash, newline must survive.
   req.op = kOpVerify;
   req.generator = "tryAttachCompareInt32";
-  req.client = "ci \"shard\\3\"\n";  // Quotes, backslash, newline must survive.
-  req.deadline_ms = 1500.5;
 
   Request back;
   Status st = ParseRequest(req.ToJsonLine(), &back);
@@ -54,8 +45,6 @@ TEST(Protocol, RequestRoundTripsAllFields) {
   EXPECT_EQ(back.id, req.id);
   EXPECT_EQ(back.op, req.op);
   EXPECT_EQ(back.generator, req.generator);
-  EXPECT_EQ(back.client, req.client);
-  EXPECT_DOUBLE_EQ(back.deadline_ms, req.deadline_ms);
 }
 
 TEST(Protocol, ResponseRoundTripsAllFields) {
@@ -69,8 +58,7 @@ TEST(Protocol, ResponseRoundTripsAllFields) {
   resp.seconds = 0.25;
   resp.paths = 12;
   resp.queries = 34;
-  resp.retry_after_ms = 750;
-  resp.stats_json = "{\"requests\":3,\"clients\":{\"ci\":{}}}";  // Nested JSON as a string.
+  resp.stats_json = "{\"requests\":3,\"nested\":{\"ci\":{}}}";  // Nested JSON as a string.
 
   Response back;
   Status st = ParseResponse(resp.ToJsonLine(), &back);
@@ -84,7 +72,6 @@ TEST(Protocol, ResponseRoundTripsAllFields) {
   EXPECT_DOUBLE_EQ(back.seconds, 0.25);
   EXPECT_EQ(back.paths, 12);
   EXPECT_EQ(back.queries, 34);
-  EXPECT_DOUBLE_EQ(back.retry_after_ms, 750);
   EXPECT_EQ(back.stats_json, resp.stats_json);
 }
 
@@ -102,8 +89,6 @@ TEST(Protocol, ParseRequestRejectsMalformedInput) {
   EXPECT_NE(unknown_op.message().find("ping"), std::string::npos) << unknown_op.message();
   // verify needs a target.
   EXPECT_FALSE(ParseRequest("{\"op\":\"verify\"}", &req).ok());
-  // Negative deadlines are nonsense, not "no deadline".
-  EXPECT_FALSE(ParseRequest("{\"op\":\"verify\",\"gen\":\"g\",\"deadline_ms\":-1}", &req).ok());
 }
 
 TEST(Protocol, ParseRequestToleratesOmittedVersionAndUnknownKeys) {
@@ -121,155 +106,6 @@ TEST(Protocol, ParseResponseRequiresStatus) {
   Response resp;
   EXPECT_FALSE(ParseResponse("{\"id\":\"x\"}", &resp).ok());
   EXPECT_TRUE(ParseResponse("{\"status\":\"OK\"}", &resp).ok());
-}
-
-TEST(Protocol, MetricsFieldsRoundTrip) {
-  Request metrics;
-  metrics.op = kOpMetrics;
-  metrics.format = "json";
-  Request mback;
-  ASSERT_TRUE(ParseRequest(metrics.ToJsonLine(), &mback).ok());
-  EXPECT_EQ(mback.op, kOpMetrics);
-  EXPECT_EQ(mback.format, "json");
-  EXPECT_FALSE(ParseRequest("{\"op\":\"metrics\",\"format\":\"xml\"}", &metrics).ok());
-
-  Response resp;
-  resp.status = kStatusOk;
-  resp.metrics = "# HELP x y\n# TYPE x counter\nx 1\n";
-  Response rback;
-  ASSERT_TRUE(ParseResponse(resp.ToJsonLine(), &rback).ok());
-  EXPECT_EQ(rback.metrics, resp.metrics);
-}
-
-// --- Admission control (fake clock) --------------------------------------
-
-TEST(Admission, TokenBucketRefillsAtConfiguredRate) {
-  TokenBucket bucket(/*burst=*/2.0, /*rate_per_sec=*/4.0, /*now=*/100.0);
-  double retry = 0;
-  EXPECT_TRUE(bucket.TryAcquire(100.0, &retry));
-  EXPECT_TRUE(bucket.TryAcquire(100.0, &retry));
-  // Bucket empty; the hint says when the next token lands (1/rate = 0.25s).
-  EXPECT_FALSE(bucket.TryAcquire(100.0, &retry));
-  EXPECT_GT(retry, 0.0);
-  EXPECT_LE(retry, 0.25 + 1e-9);
-  // A quarter second refills exactly one token — and only one.
-  EXPECT_TRUE(bucket.TryAcquire(100.25, &retry));
-  EXPECT_FALSE(bucket.TryAcquire(100.25, &retry));
-  // Refill caps at burst: after a long idle stretch we get burst, not more.
-  EXPECT_TRUE(bucket.TryAcquire(200.0, &retry));
-  EXPECT_TRUE(bucket.TryAcquire(200.0, &retry));
-  EXPECT_FALSE(bucket.TryAcquire(200.0, &retry));
-}
-
-TEST(Admission, PerClientBucketsAndGlobalQueueBound) {
-  AdmissionController::Options options;
-  options.burst = 2;
-  options.rate_per_sec = 1;
-  options.queue_limit = 3;
-  AdmissionController admission(options);
-  double retry = 0;
-
-  // Client A burns its burst; client B is unaffected (per-client buckets).
-  EXPECT_EQ(admission.Admit("a", 0, 100.0, &retry), AdmissionController::Decision::kAdmit);
-  EXPECT_EQ(admission.Admit("a", 0, 100.0, &retry), AdmissionController::Decision::kAdmit);
-  EXPECT_EQ(admission.Admit("a", 0, 100.0, &retry), AdmissionController::Decision::kShedRate);
-  EXPECT_GT(retry, 0.0);
-  EXPECT_EQ(admission.Admit("b", 0, 100.0, &retry), AdmissionController::Decision::kAdmit);
-
-  // A full queue sheds regardless of the client's token balance.
-  EXPECT_EQ(admission.Admit("b", 3, 100.0, &retry), AdmissionController::Decision::kShedQueue);
-  EXPECT_GT(retry, 0.0);
-
-  // Stats: sorted by client, shed kinds attributed separately.
-  auto snapshot = admission.Snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].first, "a");
-  EXPECT_EQ(snapshot[0].second.admitted, 2);
-  EXPECT_EQ(snapshot[0].second.shed_rate, 1);
-  EXPECT_EQ(snapshot[1].first, "b");
-  EXPECT_EQ(snapshot[1].second.admitted, 1);
-  EXPECT_EQ(snapshot[1].second.shed_queue, 1);
-  EXPECT_EQ(admission.total_admitted(), 3);
-  EXPECT_EQ(admission.total_shed(), 2);
-}
-
-// --- Quarantine (deterministic backoff schedule) --------------------------
-
-TEST(QuarantineTest, OpensAfterStrikesWithExponentialJitteredBackoff) {
-  Quarantine::Options options;
-  options.strikes = 3;
-  options.base_s = 0.5;
-  options.max_s = 60.0;
-  options.jitter = 0.25;
-  options.seed = 42;
-  Quarantine q(options);
-
-  // Below the threshold nothing is quarantined.
-  EXPECT_FALSE(q.RecordStrike("g", 100.0));
-  EXPECT_FALSE(q.RecordStrike("g", 100.0));
-  EXPECT_FALSE(q.Probe("g", 100.0).quarantined);
-
-  // Strike 3 opens the first window: base stretched by jitter in [1, 1.25).
-  EXPECT_TRUE(q.RecordStrike("g", 100.0));
-  Quarantine::Check check = q.Probe("g", 100.0);
-  ASSERT_TRUE(check.quarantined);
-  EXPECT_GE(check.retry_after_s, 0.5);
-  EXPECT_LT(check.retry_after_s, 0.5 * 1.25);
-  double w0 = check.retry_after_s;
-
-  // The window lapses on its own...
-  EXPECT_FALSE(q.Probe("g", 100.0 + w0 + 1e-6).quarantined);
-  EXPECT_EQ(q.ActiveCount(100.0 + w0 + 1e-6), 0);
-
-  // ...but the strike count does not reset: each further strike doubles the
-  // base window, jitter staying inside its band.
-  EXPECT_TRUE(q.RecordStrike("g", 200.0));
-  double w1 = q.Probe("g", 200.0).retry_after_s;
-  EXPECT_GE(w1, 1.0);
-  EXPECT_LT(w1, 1.0 * 1.25);
-  EXPECT_TRUE(q.RecordStrike("g", 300.0));
-  double w2 = q.Probe("g", 300.0).retry_after_s;
-  EXPECT_GE(w2, 2.0);
-  EXPECT_LT(w2, 2.0 * 1.25);
-
-  // Backoff is capped: pile on strikes and the window never exceeds
-  // max_s * (1 + jitter) — and never overflows, however many strikes land.
-  for (int i = 0; i < 80; ++i) {
-    EXPECT_TRUE(q.RecordStrike("g", 400.0));
-  }
-  double capped = q.Probe("g", 400.0).retry_after_s;
-  EXPECT_GE(capped, 60.0);
-  EXPECT_LT(capped, 60.0 * 1.25);
-
-  // A success clears the record entirely — no half-remembered strikes.
-  q.RecordSuccess("g");
-  EXPECT_FALSE(q.Probe("g", 400.0).quarantined);
-  EXPECT_TRUE(q.Snapshot().empty());
-}
-
-TEST(QuarantineTest, ScheduleIsDeterministicForAFixedSeed) {
-  Quarantine::Options options;
-  options.strikes = 1;
-  options.seed = 7;
-  auto schedule = [&options] {
-    Quarantine q(options);
-    std::vector<double> windows;
-    for (int i = 0; i < 6; ++i) {
-      q.RecordStrike("g", 0.0);
-      windows.push_back(q.Probe("g", 0.0).retry_after_s);
-    }
-    return windows;
-  };
-  EXPECT_EQ(schedule(), schedule());
-
-  // A different seed lands different jitter (the schedule is seeded, not
-  // accidentally constant).
-  Quarantine::Options other = options;
-  other.seed = 8;
-  Quarantine q(other);
-  q.RecordStrike("g", 0.0);
-  std::vector<double> base = schedule();
-  EXPECT_NE(q.Probe("g", 0.0).retry_after_s, base[0]);
 }
 
 // --- ServerCore: the full request lifecycle -------------------------------
@@ -291,13 +127,10 @@ class ServerCoreTest : public ::testing::Test {
   }
   void TearDown() override { failpoint::DisarmAll(); }
 
-  static Request Verify(const std::string& generator, const std::string& client = "test",
-                        double deadline_ms = 0) {
+  static Request Verify(const std::string& generator) {
     Request req;
     req.op = kOpVerify;
     req.generator = generator;
-    req.client = client;
-    req.deadline_ms = deadline_ms;
     return req;
   }
 
@@ -354,7 +187,7 @@ TEST_F(ServerCoreTest, ServesRealVerdictsAndWarmRepeats) {
   EXPECT_NE(unknown.error.find("noSuchGenerator"), std::string::npos) << unknown.error;
 
   // Decisive verdicts are warm: the repeat is served from memory, marked
-  // cached, with no admission cost and no recomputation.
+  // cached, with no recomputation.
   Response warm = core.Execute(Verify("tryAttachCompareInt32"));
   EXPECT_EQ(warm.status, kStatusOk);
   EXPECT_EQ(warm.outcome, "VERIFIED");
@@ -373,311 +206,31 @@ TEST_F(ServerCoreTest, ServesRealVerdictsAndWarmRepeats) {
   EXPECT_TRUE(core.FinishDrain().ok());
 }
 
-TEST_F(ServerCoreTest, StatsJsonSurvivesControlByteClientNames) {
+TEST_F(ServerCoreTest, DispatchFaultsAreContainedToTheirRequest) {
   ServerCore core(platform_, DaemonOptions{});
   ASSERT_TRUE(core.Start().ok());
 
-  // A hostile (or merely buggy) client name: quote, backslash, newline, and
-  // raw control bytes. It becomes a JSON object key inside stats_json, which
-  // itself travels as a JSON string inside the response line — two rounds of
-  // escaping that must both be loss-free.
-  std::string client = std::string("ci\x01\x1f\"\\\n\t") + "shard";
-  Response served = core.Execute(Verify("tryAttachInt32Add", client));
-  EXPECT_EQ(served.status, kStatusOk);
-
-  Request stats;
-  stats.op = kOpStats;
-  Response counters = core.Execute(stats);
-  EXPECT_EQ(counters.status, kStatusOk);
-  // Control bytes are \u-escaped in the payload (a stats line must never
-  // contain a raw newline — it would tear the NDJSON framing).
-  EXPECT_NE(counters.stats_json.find("\\u0001"), std::string::npos) << counters.stats_json;
-  EXPECT_EQ(counters.stats_json.find('\n'), std::string::npos);
-
-  Response back;
-  ASSERT_TRUE(ParseResponse(counters.ToJsonLine(), &back).ok());
-  EXPECT_EQ(back.stats_json, counters.stats_json);
-  EXPECT_TRUE(core.FinishDrain().ok());
-}
-
-TEST_F(ServerCoreTest, MetricsOpServesAParseableExposition) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "built with ICARUS_ENABLE_OBS=OFF";
-  }
-  obs::SetEnabled(true);
-  obs::Registry::Global().ResetAll();
-  ServerCore core(platform_, DaemonOptions{});
-  ASSERT_TRUE(core.Start().ok());
-  EXPECT_EQ(core.Execute(Verify("tryAttachInt32Add")).status, kStatusOk);
-
-  Request metrics;
-  metrics.op = kOpMetrics;
-  Response resp = core.Execute(metrics);
-  EXPECT_EQ(resp.status, kStatusOk);
-  StatusOr<obs::Exposition> parsed = obs::ParsePrometheus(resp.metrics);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  // The service-time histogram recorded the verify, and quantile queries
-  // against the parsed exposition answer something positive — exactly what
-  // `icarus top` renders as P50/P99.
-  const obs::ExpositionHistogram* request_seconds =
-      parsed.value().FindHistogram("icarus_daemon_request_seconds");
-  ASSERT_NE(request_seconds, nullptr);
-  EXPECT_GE(request_seconds->count, 1);
-  EXPECT_GT(request_seconds->Quantile(0.5), 0);
-  // Per-op attribution: the verify (and this metrics op itself, admitted
-  // before the render) have op-level histograms.
-  const obs::ExpositionHistogram* op_verify =
-      parsed.value().FindHistogram("icarus_daemon_op_verify_seconds");
-  ASSERT_NE(op_verify, nullptr);
-  EXPECT_GE(op_verify->count, 1);
-  // Queue gauges are exported (occupancy may legitimately be zero by now).
-  EXPECT_NE(parsed.value().FindGauge("icarus_daemon_queue_depth"), nullptr);
-
-  Request as_json;
-  as_json.op = kOpMetrics;
-  as_json.format = "json";
-  Response json_resp = core.Execute(as_json);
-  EXPECT_EQ(json_resp.status, kStatusOk);
-  ASSERT_FALSE(json_resp.metrics.empty());
-  EXPECT_EQ(json_resp.metrics.front(), '{');
-  EXPECT_NE(json_resp.metrics.find("\"histograms\""), std::string::npos);
-
-  EXPECT_TRUE(core.FinishDrain().ok());
-  obs::SetEnabled(false);
-}
-
-TEST_F(ServerCoreTest, SlowRequestLogAttributesStageCosts) {
-  DaemonOptions options;
-  options.slow_ms = 1e-6;  // Every served request is "slow".
-  options.slow_log_path = TempPath("slow_log_test.jsonl");
-  std::remove(options.slow_log_path.c_str());
-  ServerCore core(platform_, options);
-  ASSERT_TRUE(core.Start().ok());
-  EXPECT_EQ(core.Execute(Verify("tryAttachCompareInt32", "slowpoke")).status, kStatusOk);
-  // Warm hits skip the service path entirely — no second log line.
-  EXPECT_EQ(core.Execute(Verify("tryAttachCompareInt32", "slowpoke")).status, kStatusOk);
-  EXPECT_TRUE(core.FinishDrain().ok());
-
-  std::ifstream in(options.slow_log_path);
-  ASSERT_TRUE(in.good()) << "slow log not written";
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    EXPECT_NE(line.find("\"slow_request\":true"), std::string::npos) << line;
-    EXPECT_NE(line.find("\"gen\":\"tryAttachCompareInt32\""), std::string::npos);
-    EXPECT_NE(line.find("\"client\":\"slowpoke\""), std::string::npos);
-    EXPECT_NE(line.find("\"outcome\":\"VERIFIED\""), std::string::npos);
-    // Stage attribution mirrors the journal's breakdown.
-    for (const char* key : {"\"seconds\":", "\"cfa_s\":", "\"gen_s\":", "\"interp_s\":",
-                            "\"solve_s\":", "\"paths\":", "\"queries\":"}) {
-      EXPECT_NE(line.find(key), std::string::npos) << key << " missing in " << line;
-    }
-  }
-  EXPECT_EQ(lines, 1);
-}
-
-TEST_F(ServerCoreTest, RateShedsRecoverWhenTheBucketRefills) {
-  std::atomic<double> now{100.0};
-  DaemonOptions options;
-  options.admission.burst = 1;
-  options.admission.rate_per_sec = 2;
-  options.clock = [&now] { return now.load(); };
-  ServerCore core(platform_, options);
-  ASSERT_TRUE(core.Start().ok());
-
-  // Distinct generators so the warm view cannot mask admission.
-  Response first = core.Execute(Verify("tryAttachInt32Add", "ci"));
-  EXPECT_EQ(first.status, kStatusOk);
-  Response shed = core.Execute(Verify("tryAttachInt32Sub", "ci"));
-  EXPECT_EQ(shed.status, kStatusOverloaded);
-  EXPECT_NE(shed.error.find("'ci'"), std::string::npos) << shed.error;
-  EXPECT_GT(shed.retry_after_ms, 0);
-  // Another client has its own bucket.
-  EXPECT_EQ(core.Execute(Verify("tryAttachInt32Mul", "other")).status, kStatusOk);
-
-  // Honouring the retry hint works: advance the clock and the shed client is
-  // admitted again.
-  now.store(100.0 + shed.retry_after_ms / 1e3 + 1e-6);
-  Response retried = core.Execute(Verify("tryAttachInt32Sub", "ci"));
-  EXPECT_EQ(retried.status, kStatusOk);
-
-  DaemonStats stats = core.StatsSnapshot();
-  EXPECT_EQ(stats.shed_rate, 1);
-  ASSERT_EQ(stats.clients.size(), 2u);
-  EXPECT_EQ(stats.clients[0].first, "ci");
-  EXPECT_EQ(stats.clients[0].second.shed_rate, 1);
-  EXPECT_TRUE(core.FinishDrain().ok());
-}
-
-TEST_F(ServerCoreTest, BoundedQueueShedsUnderConcurrentLoad) {
-  DaemonOptions options;
-  options.jobs = 1;
-  options.admission.burst = 1000;  // Rate gate out of the way.
-  options.admission.rate_per_sec = 1000;
-  options.admission.queue_limit = 1;
-  ServerCore core(platform_, options);
-  ASSERT_TRUE(core.Start().ok());
-
-  const std::vector<std::string> generators = {
-      "tryAttachInt32Add",   "tryAttachInt32Sub",     "tryAttachInt32Mul",
-      "tryAttachInt32Div",   "tryAttachInt32Mod",     "tryAttachInt32Bitwise",
-      "tryAttachInt32MinMax", "tryAttachInt32Negation", "tryAttachInt32Not",
-      "tryAttachObjectLength", "tryAttachStringLength", "tryAttachDenseElement",
-  };
-  std::vector<Response> responses(generators.size());
-  std::vector<std::thread> clients;
-  for (size_t i = 0; i < generators.size(); ++i) {
-    clients.emplace_back([&core, &generators, &responses, i] {
-      responses[i] = core.Execute(Verify(generators[i]));
-    });
-  }
-  for (std::thread& t : clients) {
-    t.join();
-  }
-
-  // Every response is either a real verdict or an honest shed — and the
-  // books balance exactly: nothing is dropped, nothing double-counted.
-  int served = 0;
-  int shed = 0;
-  for (const Response& resp : responses) {
-    if (resp.status == kStatusOk) {
-      ++served;
-      EXPECT_EQ(resp.outcome, "VERIFIED") << resp.generator;
-    } else {
-      ASSERT_EQ(resp.status, kStatusOverloaded) << resp.status;
-      EXPECT_EQ(resp.error, "request queue is full");
-      EXPECT_GT(resp.retry_after_ms, 0);
-      ++shed;
-    }
-  }
-  EXPECT_EQ(served + shed, static_cast<int>(generators.size()));
-  // With a queue bound of 1 and one worker, twelve simultaneous requests
-  // cannot all fit; at least one must have been shed, and at least one
-  // (the first in) must have been served.
-  EXPECT_GE(shed, 1);
-  EXPECT_GE(served, 1);
-
-  DaemonStats stats = core.StatsSnapshot();
-  EXPECT_EQ(stats.served, served);
-  EXPECT_EQ(stats.shed_queue, shed);
-  EXPECT_EQ(stats.queue_depth, 0);
-  EXPECT_EQ(stats.in_flight, 0);
-  EXPECT_TRUE(core.FinishDrain().ok());
-}
-
-TEST_F(ServerCoreTest, DeadlineDegradesQueuedRequestsToInconclusive) {
-  DaemonOptions options;
-  options.jobs = 1;
-  options.admission.burst = 1000;
-  options.admission.rate_per_sec = 1000;
-  ServerCore core(platform_, options);
-  ASSERT_TRUE(core.Start().ok());
-
-  // Six healthy generators race for one worker with a 50µs deadline: the
-  // head of the line may finish, but queued requests blow their deadline,
-  // their cancel flag flips, and the verification observes it at its next
-  // path boundary — INCONCLUSIVE, never a made-up verdict.
-  const std::vector<std::string> generators = {
-      "tryAttachCompareInt32",  "tryAttachCompareString", "tryAttachCompareObject",
-      "tryAttachCompareSymbol", "tryAttachInt32Add",      "tryAttachObjectLength",
-  };
-  std::vector<Response> responses(generators.size());
-  std::vector<std::thread> clients;
-  for (size_t i = 0; i < generators.size(); ++i) {
-    clients.emplace_back([&core, &generators, &responses, i] {
-      responses[i] = core.Execute(Verify(generators[i], "test", /*deadline_ms=*/0.05));
-    });
-  }
-  for (std::thread& t : clients) {
-    t.join();
-  }
-
-  int inconclusive = 0;
-  for (const Response& resp : responses) {
-    ASSERT_EQ(resp.status, kStatusOk) << resp.error;
-    // A deadline can only degrade, never corrupt: healthy generators are
-    // VERIFIED or INCONCLUSIVE, nothing else.
-    EXPECT_TRUE(resp.outcome == "VERIFIED" || resp.outcome == "INCONCLUSIVE")
-        << resp.generator << " -> " << resp.outcome;
-    if (resp.outcome == "INCONCLUSIVE") {
-      ++inconclusive;
-    }
-  }
-  EXPECT_GE(inconclusive, 1);
-  DaemonStats stats = core.StatsSnapshot();
-  EXPECT_GE(stats.deadline_cancelled, 1);
-  EXPECT_TRUE(core.FinishDrain().ok());
-}
-
-TEST_F(ServerCoreTest, DispatchFaultsAreContainedAndQuarantineTheTarget) {
-  std::atomic<double> now{100.0};
-  DaemonOptions options;
-  options.admission.burst = 100;
-  options.quarantine.strikes = 2;
-  options.quarantine.base_s = 0.5;
-  options.quarantine.jitter = 0.25;
-  options.quarantine.seed = 7;
-  options.clock = [&now] { return now.load(); };
-  ServerCore core(platform_, options);
-  ASSERT_TRUE(core.Start().ok());
-
-  // Every dispatch throws while armed; the supervisor must convert each into
-  // an INTERNAL_ERROR response for that request alone.
+  // Every dispatch throws while armed; the containment boundary must convert
+  // each into an INTERNAL_ERROR response for that request alone.
   ASSERT_TRUE(failpoint::Arm(std::string("p=") + failpoint::kDaemonDispatch + ":1").ok());
-  for (int i = 0; i < 2; ++i) {
-    Response resp = core.Execute(Verify("tryAttachCompareInt32"));
+  for (const char* generator : {"tryAttachCompareInt32", "tryAttachCompareInt32",
+                                "tryAttachCompareInt32", "tryAttachInt32Add"}) {
+    Response resp = core.Execute(Verify(generator));
     EXPECT_EQ(resp.status, kStatusOk);
-    EXPECT_EQ(resp.outcome, "INTERNAL_ERROR");
+    EXPECT_EQ(resp.outcome, "INTERNAL_ERROR") << generator;
     EXPECT_NE(resp.error.find("injected fault"), std::string::npos) << resp.error;
   }
-
-  // Two strikes → quarantined: refused up front, with a retry hint inside
-  // the first backoff window (0.5s stretched by jitter < 1.25x).
-  Response refused = core.Execute(Verify("tryAttachCompareInt32"));
-  EXPECT_EQ(refused.status, kStatusQuarantined);
-  EXPECT_NE(refused.error.find("quarantined"), std::string::npos) << refused.error;
-  EXPECT_GE(refused.retry_after_ms, 500.0);
-  EXPECT_LT(refused.retry_after_ms, 625.0);
-
-  // Other targets are unaffected (still served — here burned by the same
-  // armed fault, but *served*, not refused).
-  Response other = core.Execute(Verify("tryAttachInt32Add"));
-  EXPECT_EQ(other.status, kStatusOk);
-  EXPECT_EQ(other.outcome, "INTERNAL_ERROR");
-
   DaemonStats stats = core.StatsSnapshot();
-  EXPECT_EQ(stats.internal_errors, 3);
-  EXPECT_EQ(stats.quarantined, 1);
-  EXPECT_EQ(stats.quarantine_active, 1);
+  EXPECT_EQ(stats.internal_errors, 4);
+  EXPECT_EQ(stats.in_flight, 0);
 
-  // The window lapses with time; a healthy run then clears the record.
+  // INTERNAL_ERROR is not decisive, so nothing burnt went warm; once
+  // disarmed the same generator is verified at once, with no refusal.
   failpoint::DisarmAll();
-  now.store(102.0);
   Response recovered = core.Execute(Verify("tryAttachCompareInt32"));
   EXPECT_EQ(recovered.status, kStatusOk);
   EXPECT_EQ(recovered.outcome, "VERIFIED");
-  // The success wiped this target's strike record (tryAttachInt32Add keeps
-  // its single sub-threshold strike — that one was never cleared).
-  for (const Quarantine::Entry& entry : core.StatsSnapshot().quarantine) {
-    EXPECT_NE(entry.generator, "tryAttachCompareInt32");
-  }
-  EXPECT_TRUE(core.FinishDrain().ok());
-}
-
-TEST_F(ServerCoreTest, EnqueueFaultBurnsOnlyThatRequest) {
-  ServerCore core(platform_, DaemonOptions{});
-  ASSERT_TRUE(core.Start().ok());
-  ASSERT_TRUE(failpoint::Arm(std::string("at=") + failpoint::kDaemonEnqueue + ":1").ok());
-
-  Response burnt = core.Execute(Verify("tryAttachInt32Add"));
-  EXPECT_EQ(burnt.status, kStatusError);
-  EXPECT_NE(burnt.error.find("injected fault"), std::string::npos) << burnt.error;
-
-  // Nothing was queued, no worker was harmed: the next request is served.
-  Response next = core.Execute(Verify("tryAttachInt32Add"));
-  EXPECT_EQ(next.status, kStatusOk);
-  EXPECT_EQ(next.outcome, "VERIFIED");
+  EXPECT_FALSE(recovered.cached);
   EXPECT_TRUE(core.FinishDrain().ok());
 }
 
@@ -697,12 +250,8 @@ TEST_F(ServerCoreTest, ParseFaultIsARecoverableException) {
   EXPECT_TRUE(contained);
 }
 
-TEST_F(ServerCoreTest, DrainFailsQueuedRequestsFastAndStopsAdmission) {
-  DaemonOptions options;
-  options.jobs = 1;
-  options.admission.burst = 1000;
-  options.admission.rate_per_sec = 1000;
-  ServerCore core(platform_, options);
+TEST_F(ServerCoreTest, DrainCancelsInFlightWorkAndStopsServing) {
+  ServerCore core(platform_, DaemonOptions{});
   ASSERT_TRUE(core.Start().ok());
 
   const std::vector<std::string> generators = {
@@ -721,15 +270,10 @@ TEST_F(ServerCoreTest, DrainFailsQueuedRequestsFastAndStopsAdmission) {
 
   // Catch the storm mid-flight, then drain. If the requests all finished
   // before we looked (possible on a fast machine), the drain still has to be
-  // clean — the queued-fail-fast assertion is gated on having caught it.
-  bool caught_backlog = false;
+  // clean.
   for (int spins = 0; spins < 20000; ++spins) {
     DaemonStats stats = core.StatsSnapshot();
-    if (stats.queue_depth >= 1) {
-      caught_backlog = true;
-      break;
-    }
-    if (stats.served >= static_cast<int64_t>(generators.size())) {
+    if (stats.in_flight >= 1 || stats.served >= static_cast<int64_t>(generators.size())) {
       break;
     }
     std::this_thread::yield();
@@ -739,23 +283,21 @@ TEST_F(ServerCoreTest, DrainFailsQueuedRequestsFastAndStopsAdmission) {
     t.join();
   }
 
-  int shut_down = 0;
   for (const Response& resp : responses) {
-    // A drained request either kept its earned verdict, was degraded to
-    // INCONCLUSIVE by cancellation, or was failed fast — never dropped.
+    // A drained request kept its earned verdict, was degraded to
+    // INCONCLUSIVE by cancellation, or was refused with SHUTTING_DOWN —
+    // never dropped.
     if (resp.status == kStatusShuttingDown) {
-      ++shut_down;
-    } else {
-      ASSERT_EQ(resp.status, kStatusOk) << resp.status << " " << resp.error;
-      EXPECT_TRUE(resp.outcome == "VERIFIED" || resp.outcome == "INCONCLUSIVE")
-          << resp.generator << " -> " << resp.outcome;
+      continue;
     }
+    ASSERT_EQ(resp.status, kStatusOk) << resp.status << " " << resp.error;
+    EXPECT_TRUE(resp.outcome == "VERIFIED" || resp.outcome == "INCONCLUSIVE")
+        << resp.generator << " -> " << resp.outcome;
   }
-  if (caught_backlog) {
-    EXPECT_GE(shut_down, 1);
-  }
+  EXPECT_EQ(core.StatsSnapshot().in_flight, 0);
 
-  // Post-drain, admission is closed and the drain completes cleanly.
+  // Post-drain, verify and ping answer SHUTTING_DOWN and the drain
+  // completes cleanly.
   EXPECT_EQ(core.Execute(Verify("tryAttachInt32Add")).status, kStatusShuttingDown);
   Request ping;
   ping.op = kOpPing;
@@ -859,24 +401,52 @@ TEST_F(ServerCoreTest, SecondWriterDegradesToReadOnlyCache) {
   EXPECT_NE(::stat(verifier::VerdictStorePath(dir).c_str(), &st), 0);
 }
 
+TEST_F(ServerCoreTest, PersistentStoreServesCachedSafeAfterRestart) {
+  std::string dir = TempPath("daemon_store_cache");
+  (void)mkdir(dir.c_str(), 0755);
+  std::remove(verifier::VerdictStorePath(dir).c_str());
+  std::remove(verifier::SolverCacheStorePath(dir).c_str());
+  DaemonOptions options;
+  options.incremental = true;
+  options.cache_dir = dir;
+
+  {
+    ServerCore core(platform_, options);
+    ASSERT_TRUE(core.Start().ok());
+    EXPECT_EQ(core.Execute(Verify("tryAttachCompareInt32")).outcome, "VERIFIED");
+    ASSERT_TRUE(core.FinishDrain().ok());  // Saves the stores.
+  }
+
+  // No journal, so the warm view starts empty: the answer comes from the
+  // verdict store the first instance saved on drain.
+  ServerCore core(platform_, options);
+  ASSERT_TRUE(core.Start().ok());
+  Response cached = core.Execute(Verify("tryAttachCompareInt32"));
+  EXPECT_EQ(cached.status, kStatusOk);
+  EXPECT_EQ(cached.outcome, "CACHED_SAFE");
+  EXPECT_TRUE(cached.cached);
+  // The store answer went warm as well.
+  EXPECT_EQ(core.Execute(Verify("tryAttachCompareInt32")).outcome, "CACHED_SAFE");
+  DaemonStats stats = core.StatsSnapshot();
+  EXPECT_EQ(stats.cached_safe, 1);
+  EXPECT_EQ(stats.warm_hits, 1);
+  EXPECT_TRUE(core.FinishDrain().ok());
+}
+
 TEST_F(ServerCoreTest, StatsJsonCarriesTheFullSnapshot) {
   DaemonStats stats;
   stats.requests = 3;
-  stats.shed_queue = 1;
+  stats.warm_hits = 2;
+  stats.internal_errors = 1;
+  stats.in_flight = 4;
   stats.read_only_cache = true;
-  stats.clients.push_back({"ci", ClientStats{2, 0, 1}});
-  Quarantine::Entry entry;
-  entry.generator = "g";
-  entry.strikes = 4;
-  entry.until = 12.5;
-  stats.quarantine.push_back(entry);
 
   std::string json = stats.ToJson();
   EXPECT_NE(json.find("\"requests\":3"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"shed_queue\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"warm_hits\":2"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"internal_errors\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"in_flight\":4"), std::string::npos) << json;
   EXPECT_NE(json.find("\"read_only_cache\":true"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"ci\":{\"admitted\":2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"generator\":\"g\""), std::string::npos) << json;
 }
 
 }  // namespace

@@ -177,10 +177,13 @@ TEST_F(FaultsTest, ArmRejectsBadSpecs) {
   EXPECT_NE(typo.message().find("daemon-dispatch"), std::string::npos) << typo.message();
   // The real daemon sites arm fine.
   for (const char* site : {failpoint::kDaemonAccept, failpoint::kDaemonParse,
-                           failpoint::kDaemonEnqueue, failpoint::kDaemonDispatch,
-                           failpoint::kDaemonRespond, failpoint::kDaemonDrain}) {
+                           failpoint::kDaemonDispatch, failpoint::kDaemonRespond,
+                           failpoint::kDaemonDrain}) {
     EXPECT_TRUE(failpoint::Arm(std::string("at=") + site + ":1").ok()) << site;
   }
+  // There is no enqueue stage (verify requests run on the connection's
+  // thread), so there is no enqueue site either.
+  EXPECT_FALSE(failpoint::Arm("at=daemon-enqueue:1").ok());
   failpoint::DisarmAll();
   EXPECT_FALSE(failpoint::Arm("bogus").ok());
   EXPECT_FALSE(failpoint::Arm("at=solver-decision").ok());

@@ -13,8 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include "src/obs/exposition.h"
 #include "src/obs/json.h"
+#include "src/support/str_util.h"
 
 namespace icarus::obs {
 namespace {
@@ -113,15 +113,43 @@ TEST_F(ObsMetricsTest, GaugeSetAndAdd) {
 
 TEST_F(ObsMetricsTest, PrometheusExposition) {
   Registry::Global().GetCounter("test_expo_total", "a counter")->Add(7);
+  Registry::Global().GetGauge("test_expo_gauge", "queue occupancy")->Set(5);
   Histogram* h = Registry::Global().GetHistogram("test_expo_seconds", "a histogram");
-  h->Observe(0.25);
+  h->Observe(0.5);
+  h->Observe(0.5);
+  h->Observe(3.0);
   std::string text = Registry::Global().RenderPrometheus();
-  EXPECT_NE(text.find("# HELP test_expo_total a counter"), std::string::npos) << text;
-  EXPECT_NE(text.find("# TYPE test_expo_total counter"), std::string::npos);
-  EXPECT_NE(text.find("test_expo_total 7"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE test_expo_seconds histogram"), std::string::npos);
-  EXPECT_NE(text.find("test_expo_seconds_bucket{le=\"+Inf\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("test_expo_seconds_count 1"), std::string::npos);
+  auto has_line = [&text](const std::string& line) {
+    return ("\n" + text).find("\n" + line + "\n") != std::string::npos;
+  };
+  EXPECT_TRUE(has_line("# HELP test_expo_total a counter")) << text;
+  EXPECT_TRUE(has_line("# TYPE test_expo_total counter"));
+  EXPECT_TRUE(has_line("test_expo_total 7"));
+  EXPECT_TRUE(has_line("# HELP test_expo_gauge queue occupancy"));
+  EXPECT_TRUE(has_line("# TYPE test_expo_gauge gauge"));
+  EXPECT_TRUE(has_line("test_expo_gauge 5"));
+
+  // The histogram block, line for line: bucket i has upper bound 2^(i-20),
+  // so 0.5 lands in bucket 19 and 3.0 in bucket 22 (le="4"); bucket counts
+  // are cumulative, then +Inf, the sum and the count.
+  std::string block =
+      "# HELP test_expo_seconds a histogram\n# TYPE test_expo_seconds histogram\n";
+  for (int i = 0; i < Histogram::kNumBuckets; ++i) {
+    int cumulative = i < 19 ? 0 : i < 22 ? 2 : 3;
+    block += StrFormat("test_expo_seconds_bucket{le=\"%.9g\"} %d\n", std::ldexp(1.0, i - 20),
+                       cumulative);
+  }
+  block +=
+      "test_expo_seconds_bucket{le=\"+Inf\"} 3\ntest_expo_seconds_sum 4\n"
+      "test_expo_seconds_count 3\n";
+  EXPECT_NE(text.find(block), std::string::npos) << text;
+  // Spot-check the bound formatting by hand, independent of the loop.
+  EXPECT_TRUE(has_line("test_expo_seconds_bucket{le=\"9.53674316e-07\"} 0"));
+  EXPECT_TRUE(has_line("test_expo_seconds_bucket{le=\"0.25\"} 0"));
+  EXPECT_TRUE(has_line("test_expo_seconds_bucket{le=\"0.5\"} 2"));
+  EXPECT_TRUE(has_line("test_expo_seconds_bucket{le=\"2\"} 2"));
+  EXPECT_TRUE(has_line("test_expo_seconds_bucket{le=\"4\"} 3"));
+  EXPECT_TRUE(has_line("test_expo_seconds_bucket{le=\"65536\"} 3"));
 }
 
 TEST_F(ObsMetricsTest, JsonExportIsWellFormed) {
@@ -165,66 +193,6 @@ TEST_F(ObsMetricsTest, JsonWriterEscapesAndFormats) {
   w.EndObject();
   EXPECT_EQ(w.str(),
             "{\"s\":\"a\\\"b\\\\c\\nd\\u0001\",\"i\":-42,\"d\":0.5,\"nan\":null,\"b\":true}");
-}
-
-TEST_F(ObsMetricsTest, ParsePrometheusRoundTripsTheRegistry) {
-  Registry::Global().GetCounter("test_parse_total", "requests served")->Add(7);
-  Registry::Global().GetGauge("test_parse_gauge", "queue occupancy")->Set(5);
-  Histogram* h = Registry::Global().GetHistogram("test_parse_seconds", "latency");
-  h->Observe(0.5);
-  h->Observe(0.5);
-  h->Observe(3.0);
-  auto parsed = ParsePrometheus(Registry::Global().RenderPrometheus());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  const Exposition& exp = parsed.value();
-
-  const ExpositionScalar* counter = exp.FindCounter("test_parse_total");
-  ASSERT_NE(counter, nullptr);
-  EXPECT_EQ(counter->value, 7);
-  EXPECT_EQ(counter->help, "requests served");
-  const ExpositionScalar* gauge = exp.FindGauge("test_parse_gauge");
-  ASSERT_NE(gauge, nullptr);
-  EXPECT_EQ(gauge->value, 5);
-  const ExpositionHistogram* hist = exp.FindHistogram("test_parse_seconds");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->count, 3);
-  EXPECT_NEAR(hist->sum, 4.0, 1e-9);
-  ASSERT_EQ(hist->cumulative.size(), static_cast<size_t>(Histogram::kNumBuckets));
-  EXPECT_EQ(hist->cumulative[Histogram::BucketFor(0.5)], 2);
-  EXPECT_EQ(hist->cumulative[Histogram::BucketFor(3.0)], 3);
-}
-
-TEST_F(ObsMetricsTest, ParsePrometheusRejectsForeignShapes) {
-  // Labels other than le, and le bounds off the shared scheme, are errors —
-  // this is an internal exchange format, not a general scraper.
-  EXPECT_FALSE(ParsePrometheus("x_total{worker=\"w0\"} 1\n").ok());
-  EXPECT_FALSE(ParsePrometheus("x_bucket{le=\"0.123\"} 1\n").ok());
-  EXPECT_FALSE(ParsePrometheus("x_total notanumber\n").ok());
-}
-
-TEST_F(ObsMetricsTest, ExpositionQuantiles) {
-  ExpositionHistogram h;
-  h.cumulative.assign(Histogram::kNumBuckets, 0);
-  // 8 observations, all inside the (0.5, 1.0] bucket.
-  int bucket = Histogram::BucketFor(1.0);
-  for (int i = bucket; i < Histogram::kNumBuckets; ++i) {
-    h.cumulative[i] = 8;
-  }
-  h.count = 8;
-  // Linear interpolation inside the bucket: p50 is the bucket midpoint.
-  EXPECT_NEAR(h.Quantile(0.5), 0.75, 1e-9);
-  EXPECT_NEAR(h.Quantile(1.0), 1.0, 1e-9);
-  // Empty histogram answers 0, not a division by zero.
-  ExpositionHistogram empty;
-  empty.cumulative.assign(Histogram::kNumBuckets, 0);
-  EXPECT_EQ(empty.Quantile(0.5), 0);
-  // All mass in the overflow bucket: the largest finite bound is the honest
-  // answer ("at least this much").
-  ExpositionHistogram overflow;
-  overflow.cumulative.assign(Histogram::kNumBuckets, 0);
-  overflow.count = 4;
-  EXPECT_DOUBLE_EQ(overflow.Quantile(0.99),
-                   Histogram::BucketBound(Histogram::kNumBuckets - 1));
 }
 
 }  // namespace

@@ -27,15 +27,8 @@
 //   icarus client [flags] <op>       Talk to a running icarusd service:
 //                                    ping, stats, shutdown, verify GEN...,
 //                                    verify-all. See `icarus client --help`.
-//   icarus top [flags]               Live daemon introspection: poll stats +
-//                                    metrics across running daemons and
-//                                    render a refreshing per-daemon table.
-//                                    See `icarus top --help`.
-
-#include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -44,7 +37,6 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -52,7 +44,6 @@
 
 #include "src/boogie/boogie_dce.h"
 #include "src/daemon/protocol.h"
-#include "src/daemon/top.h"
 #include "src/boogie/boogie_lower.h"
 #include "src/boogie/boogie_printer.h"
 #include "src/extract/cpp_backend.h"
@@ -62,7 +53,6 @@
 #include "src/obs/trace.h"
 #include "src/support/failpoint.h"
 #include "src/support/net.h"
-#include "src/support/rng.h"
 #include "src/support/str_util.h"
 #include "src/verifier/batch_verifier.h"
 #include "src/verifier/journal.h"
@@ -84,10 +74,9 @@ int Usage() {
                "usage: icarus <list|verify <gen>|explain <gen>|verify-all [flags]|"
                "report <journal> [out.html]|cfa <gen>|"
                "cfa-dot <gen> [out.dot]|boogie <gen>|extract|check <file>|"
-               "client [flags] <op>|top [flags]>\n"
+               "client [flags] <op>>\n"
                "       icarus verify-all --help   for batch flags and exit codes\n"
-               "       icarus client --help       for the icarusd client ops\n"
-               "       icarus top --help          for live daemon introspection\n");
+               "       icarus client --help       for the icarusd client ops\n");
   return 2;
 }
 
@@ -522,14 +511,12 @@ int Extract(const Platform& platform) {
 int ClientUsage() {
   std::fprintf(
       stderr,
-      "usage: icarus client [--socket PATH] [--client NAME] [--deadline-ms D]\n"
-      "                     [--retries N]\n"
+      "usage: icarus client [--socket PATH]\n"
       "                     <ping|stats|shutdown|verify GEN...|verify-all>\n"
       "\n"
-      "Talks to a running icarusd over its Unix-domain socket.\n"
-      "  --retries N describes load-shed handling: a request the daemon sheds\n"
-      "  with OVERLOADED is resent up to N times (default 2), sleeping the\n"
-      "  daemon's advertised retry_after_ms (with jitter) between attempts.\n"
+      "Talks to a running icarusd over its Unix-domain socket (default:\n"
+      "./icarusd.sock), sending the requests one after another on one\n"
+      "connection.\n"
       "  ping        Liveness probe; prints the daemon's status token.\n"
       "  stats       Print the daemon's service counters as JSON.\n"
       "  shutdown    Ask the daemon to drain gracefully and exit.\n"
@@ -545,9 +532,6 @@ int ClientCmd(int argc, char** argv) {
   using icarus::daemon::Request;
   using icarus::daemon::Response;
   std::string socket_path = "./icarusd.sock";
-  std::string client_name = "cli";
-  double deadline_ms = 0;
-  int retries = 2;
   std::vector<std::string> positional;
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
@@ -556,16 +540,6 @@ int ClientCmd(int argc, char** argv) {
       return 0;
     } else if (arg == "--socket" && i + 1 < argc) {
       socket_path = argv[++i];
-    } else if (arg == "--client" && i + 1 < argc) {
-      client_name = argv[++i];
-    } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      if (!NonNegativeFlag(arg, argv[++i], &deadline_ms)) {
-        return 2;
-      }
-    } else if (arg == "--retries" && i + 1 < argc) {
-      if (!IntFlag(arg, argv[++i], 0, kIntMax, &retries)) {
-        return 2;
-      }
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown client flag: %s\n", arg.c_str());
       return ClientUsage();
@@ -606,8 +580,7 @@ int ClientCmd(int argc, char** argv) {
   int next_id = 0;
   // One request line out, one response line in; `ok` means transport-level
   // success — the response's own status still decides the exit code.
-  auto send_once = [&](Request req, Response* resp) -> bool {
-    req.client = client_name;
+  auto round_trip = [&](Request req, Response* resp) -> bool {
     req.id = std::to_string(++next_id);
     if (!icarus::net::WriteLine(fd, req.ToJsonLine()).ok()) {
       std::fprintf(stderr, "icarus client: cannot write to %s\n", socket_path.c_str());
@@ -627,28 +600,6 @@ int ClientCmd(int argc, char** argv) {
     }
     return true;
   };
-  // Load-shed handling: a response the daemon sheds with OVERLOADED carries
-  // retry_after_ms; honor it (with jitter, so a herd of shed clients does not
-  // return in lockstep) up to --retries resends before surfacing the shed.
-  icarus::Rng retry_rng(static_cast<uint64_t>(
-      std::chrono::steady_clock::now().time_since_epoch().count()));
-  auto round_trip = [&](const Request& req, Response* resp) -> bool {
-    for (int attempt = 0;; ++attempt) {
-      if (!send_once(req, resp)) {
-        return false;
-      }
-      if (resp->status != icarus::daemon::kStatusOverloaded || attempt >= retries) {
-        return true;
-      }
-      double delay_ms = resp->retry_after_ms > 0 ? resp->retry_after_ms : 50.0;
-      delay_ms *= 0.75 + 0.5 * retry_rng.NextDouble();
-      std::fprintf(stderr, "icarus client: overloaded, retrying in %.0f ms (%d/%d)\n",
-                   delay_ms, attempt + 1, retries);
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(static_cast<int64_t>(delay_ms)));
-    }
-  };
-
   int rc = 2;
   if (op == "ping" && generators.empty()) {
     Request req;
@@ -687,7 +638,6 @@ int ClientCmd(int argc, char** argv) {
       Request req;
       req.op = icarus::daemon::kOpVerify;
       req.generator = gen;
-      req.deadline_ms = deadline_ms;
       Response resp;
       if (!round_trip(req, &resp)) {
         icarus::net::CloseFd(fd);
@@ -707,11 +657,7 @@ int ClientCmd(int argc, char** argv) {
                     resp.cached ? " (cached)" : "", resp.seconds,
                     resp.error.empty() ? "" : "  ", resp.error.c_str());
       } else {
-        std::printf("%-44s %-15s %s%s\n", gen.c_str(), resp.status.c_str(),
-                    resp.error.c_str(),
-                    resp.retry_after_ms > 0
-                        ? icarus::StrFormat(" (retry after %.0f ms)", resp.retry_after_ms).c_str()
-                        : "");
+        std::printf("%-44s %-15s %s\n", gen.c_str(), resp.status.c_str(), resp.error.c_str());
       }
       failures += expected ? 0 : 1;
     }
@@ -723,62 +669,6 @@ int ClientCmd(int argc, char** argv) {
   }
   icarus::net::CloseFd(fd);
   return rc;
-}
-
-int TopUsage() {
-  std::fprintf(
-      stderr,
-      "usage: icarus top [--socket PATH]... [--interval-ms N]\n"
-      "                  [--iterations N] [--no-clear]\n"
-      "\n"
-      "Live daemon introspection: polls every named daemon with stats+metrics\n"
-      "each refresh and renders a per-daemon table — throughput (verdicts/s\n"
-      "between polls), queue depth, in-flight count, cache hit rate, shed and\n"
-      "quarantine counts, and p50/p99 request latency from the daemon's\n"
-      "metrics histogram (needs daemons running with --obs; latency columns\n"
-      "render '-' otherwise).\n"
-      "  --socket PATH   Poll the daemon at PATH. Repeatable.\n"
-      "  --interval-ms N Refresh interval (default 1000).\n"
-      "  --iterations N  Render N frames then exit (default: until ^C).\n"
-      "  --no-clear      No ANSI clear between frames (for piped output).\n"
-      "\n"
-      "Exit codes: 0 clean exit, 2 usage error or nothing to poll.\n");
-  return 2;
-}
-
-int TopCmd(int argc, char** argv) {
-  icarus::daemon::TopOptions options;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help") {
-      TopUsage();
-      return 0;
-    } else if (arg == "--socket" && i + 1 < argc) {
-      options.sockets.push_back(argv[++i]);
-    } else if (arg == "--interval-ms" && i + 1 < argc) {
-      if (!NonNegativeFlag(arg, argv[++i], &options.interval_ms)) {
-        return 2;
-      }
-    } else if (arg == "--iterations" && i + 1 < argc) {
-      if (!IntFlag(arg, argv[++i], 0, kIntMax, &options.iterations)) {
-        return 2;
-      }
-    } else if (arg == "--no-clear") {
-      options.clear = false;
-    } else {
-      std::fprintf(stderr, "unknown top flag: %s\n", arg.c_str());
-      return TopUsage();
-    }
-  }
-  if (!isatty(1)) {
-    options.clear = false;  // Piped output: frames append instead of clearing.
-  }
-  icarus::Status st = icarus::daemon::RunTop(options, stdout);
-  if (!st.ok()) {
-    std::fprintf(stderr, "icarus top: %s\n", st.message().c_str());
-    return 2;
-  }
-  return 0;
 }
 
 int Check(const std::string& path) {
@@ -843,9 +733,6 @@ int Run(int argc, char** argv) {
   }
   if (cmd == "client") {
     return ClientCmd(argc, argv);
-  }
-  if (cmd == "top") {
-    return TopCmd(argc, argv);  // Pure protocol client; needs no platform.
   }
   auto loaded = Platform::Load();
   if (!loaded.ok()) {

@@ -4,19 +4,18 @@
 // verdict store, and a warm verdict view in memory, and serves verify
 // requests over newline-delimited JSON on a Unix-domain socket (see
 // src/daemon/protocol.h for the wire format and src/daemon/server.h for the
-// serving semantics: admission control, bounded queue, per-request
-// deadlines, quarantine, graceful drain).
+// serving semantics). Each accepted connection gets its own thread, which
+// runs that connection's verifications itself.
 //
 // Lifecycle: SIGTERM/SIGINT (or a `shutdown` op) begins a graceful drain —
-// the daemon stops accepting, fails queued requests fast with
-// SHUTTING_DOWN, cancels in-flight work to INCONCLUSIVE, fsyncs and closes
-// the journal, saves the persistent stores, and exits 0. A crashed daemon
+// the daemon stops accepting, answers new requests with SHUTTING_DOWN,
+// cancels in-flight work to INCONCLUSIVE, fsyncs and closes the journal,
+// saves the persistent stores, and exits 0. A crashed daemon
 // loses at most the verdict being written; the next instance replays the
 // journal back into an identical warm view.
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <mutex>
@@ -37,14 +36,11 @@
 
 namespace {
 
-using icarus::daemon::Request;
-using icarus::daemon::Response;
 using icarus::daemon::ServerCore;
 using icarus::tools::IntFlag;
 using icarus::tools::kCacheMaxMbMax;
 using icarus::tools::kCacheMaxMbMin;
 using icarus::tools::kInt64Max;
-using icarus::tools::kIntMax;
 using icarus::tools::NonNegativeFlag;
 
 volatile std::sig_atomic_t g_signal = 0;
@@ -61,15 +57,6 @@ int Usage() {
       "\n"
       "Flags:\n"
       "  --socket PATH    Socket path (default: ./icarusd.sock).\n"
-      "  --jobs N         Worker threads executing verify requests (default 1).\n"
-      "  --queue N        Bounded request queue length; beyond it requests are\n"
-      "                   shed with OVERLOADED (default 32).\n"
-      "  --rate R         Per-client verify requests per second (default 16).\n"
-      "  --burst B        Per-client token-bucket burst (default 8).\n"
-      "  --strikes N      Consecutive internal errors before a generator is\n"
-      "                   quarantined with exponential backoff (default 3).\n"
-      "  --deadline-ms D  Default per-request deadline; past it the request\n"
-      "                   degrades to INCONCLUSIVE (default: none).\n"
       "  --max-decisions N  Per-query solver decision budget.\n"
       "  --max-seconds S    Per-query solver wall budget.\n"
       "  --journal FILE   Append every verdict (fsync'd) and replay it into\n"
@@ -81,11 +68,6 @@ int Usage() {
       "  --cache-max-mb N Persisted solver-cache size bound (default 64).\n"
       "  --metrics FILE   Export the metrics registry on exit (Prometheus\n"
       "                   text, or JSON when FILE ends in .json).\n"
-      "  --obs            Enable the metrics registry without an exit export\n"
-      "                   (the `metrics` protocol op serves live scrapes).\n"
-      "  --slow-ms D      Append a flat JSON line with per-stage cost\n"
-      "                   attribution for every verify slower than D ms.\n"
-      "  --slow-log FILE  Slow-request log destination (default: stderr).\n"
       "  --fail SPEC      Arm a fail-point (see `icarus verify-all --help`).\n"
       "                   Unknown sites are a startup error. Repeatable.\n"
       "\n"
@@ -105,30 +87,6 @@ int RunDaemon(int argc, char** argv) {
       return 0;
     } else if (flag == "--socket" && i + 1 < argc) {
       socket_path = argv[++i];
-    } else if (flag == "--jobs" && i + 1 < argc) {
-      if (!IntFlag(flag, argv[++i], 1, kIntMax, &options.jobs)) {
-        return 2;
-      }
-    } else if (flag == "--queue" && i + 1 < argc) {
-      if (!IntFlag(flag, argv[++i], 0, kIntMax, &options.admission.queue_limit)) {
-        return 2;
-      }
-    } else if (flag == "--rate" && i + 1 < argc) {
-      if (!NonNegativeFlag(flag, argv[++i], &options.admission.rate_per_sec)) {
-        return 2;
-      }
-    } else if (flag == "--burst" && i + 1 < argc) {
-      if (!NonNegativeFlag(flag, argv[++i], &options.admission.burst)) {
-        return 2;
-      }
-    } else if (flag == "--strikes" && i + 1 < argc) {
-      if (!IntFlag(flag, argv[++i], 0, kIntMax, &options.quarantine.strikes)) {
-        return 2;
-      }
-    } else if (flag == "--deadline-ms" && i + 1 < argc) {
-      if (!NonNegativeFlag(flag, argv[++i], &options.default_deadline_ms)) {
-        return 2;
-      }
     } else if (flag == "--max-decisions" && i + 1 < argc) {
       if (!IntFlag(flag, argv[++i], 0, kInt64Max, &options.solver_limits.max_decisions)) {
         return 2;
@@ -150,14 +108,6 @@ int RunDaemon(int argc, char** argv) {
     } else if (flag == "--metrics" && i + 1 < argc) {
       metrics_path = argv[++i];
       icarus::obs::SetEnabled(true);
-    } else if (flag == "--obs") {
-      icarus::obs::SetEnabled(true);
-    } else if (flag == "--slow-ms" && i + 1 < argc) {
-      if (!NonNegativeFlag(flag, argv[++i], &options.slow_ms)) {
-        return 2;
-      }
-    } else if (flag == "--slow-log" && i + 1 < argc) {
-      options.slow_log_path = argv[++i];
     } else if (flag == "--fail" && i + 1 < argc) {
       icarus::Status st = icarus::failpoint::Arm(argv[++i]);
       if (!st.ok()) {
@@ -199,8 +149,7 @@ int RunDaemon(int argc, char** argv) {
   ::sigaction(SIGTERM, &sa, nullptr);
   ::sigaction(SIGINT, &sa, nullptr);
 
-  std::fprintf(stderr, "icarusd: serving on %s (%d worker%s, queue %d)\n", socket_path.c_str(),
-               options.jobs, options.jobs == 1 ? "" : "s", options.admission.queue_limit);
+  std::fprintf(stderr, "icarusd: serving on %s\n", socket_path.c_str());
 
   std::mutex conn_mu;
   std::set<int> conn_fds;
@@ -237,8 +186,8 @@ int RunDaemon(int argc, char** argv) {
     });
   }
 
-  // Graceful drain: stop accepting, fail queued work fast, cancel in-flight
-  // work, wake every connection thread blocked in read, then persist.
+  // Graceful drain: stop accepting, cancel in-flight work, wake every
+  // connection thread blocked in read, then persist.
   std::fprintf(stderr, "icarusd: draining (%s)\n",
                g_signal != 0 ? "signal" : "shutdown requested");
   core.BeginDrain();
