@@ -11,23 +11,14 @@
 //   2. the same search constrained by the control-flow automaton;
 //   3. full symbolic meta-execution (buggy: counterexample; fixed: verified);
 //   4. CFA minimization on a diamond-heavy shape — the quotient automaton
-//      must show the solver at least 2x fewer paths (functional gate);
-//   5. symbolic meta-execution over a mixed generator set — its wall-clock
-//      feeds the perf baseline.
-//
-// Usage: bench_cfa_ablation [--json PATH]
+//      must show the solver at least 2x fewer paths (functional gate).
 
 #include <cstdio>
-#include <cstring>
-#include <string>
-#include <vector>
 
 #include "src/cfa/cfa.h"
 #include "src/meta/meta_executor.h"
 #include "src/meta/naive_executor.h"
-#include "src/obs/json.h"
 #include "src/platform/platform.h"
-#include "src/support/timing.h"
 
 namespace {
 
@@ -65,30 +56,9 @@ generator benchCfaDiamond(
 }
 )ICARUS";
 
-icarus::meta::MetaResult RunGenerator(const icarus::platform::Platform& platform,
-                                      const std::string& name) {
-  auto stub = platform.MakeMetaStub(name);
-  if (!stub.ok()) {
-    std::fprintf(stderr, "%s: %s\n", name.c_str(), stub.status().message().c_str());
-    return {};
-  }
-  icarus::meta::MetaExecutor executor(&platform.module(), &platform.externs());
-  return executor.Run(stub.value());
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_cfa_ablation [--json PATH]\n");
-      return 1;
-    }
-  }
-
+int main() {
   using icarus::platform::Platform;
   auto loaded = Platform::LoadWithExtra({kDiamondHeavySource});
   if (!loaded.ok()) {
@@ -187,51 +157,8 @@ int main(int argc, char** argv) {
                 stats.edges_after, stats.merges, static_cast<long long>(raw_paths),
                 static_cast<long long>(min_paths), reduction);
     minimize_ok = reduction >= 2.0;
-    std::printf(">=2x solver-visible path cut from minimization: %s\n\n",
+    std::printf(">=2x solver-visible path cut from minimization: %s\n",
                 minimize_ok ? "yes" : "NO");
-  }
-
-  // --- 5. Symbolic meta-execution over a mixed generator set. ---
-  const std::vector<std::string> kMixedSet = {
-      "bug1685925_buggy", "bug1685925_fixed", "benchCfaDiamond",
-      "tryAttachCompareString", "tryAttachInt32MinMax",
-  };
-  constexpr int kRepeats = 5;
-  std::vector<double> set_ms;
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    icarus::WallTimer timer;
-    std::vector<icarus::meta::MetaResult> runs;
-    for (const std::string& name : kMixedSet) {
-      runs.push_back(RunGenerator(*platform, name));
-    }
-    set_ms.push_back(timer.ElapsedMillis());
-
-    if (rep == 0) {
-      for (size_t i = 0; i < kMixedSet.size(); ++i) {
-        const icarus::meta::MetaResult& r = runs[i];
-        std::printf("[set] %-24s %s, %d paths\n", kMixedSet[i].c_str(),
-                    r.verified                ? "verified"
-                    : r.violations.empty()    ? "inconclusive"
-                                              : "counterexample",
-                    r.paths_explored);
-      }
-    }
-  }
-  icarus::SampleStats set_stats = icarus::ComputeStats(set_ms);
-  std::printf("[set] wall-clock over %d repeats: median %.1fms\n", kRepeats,
-              set_stats.median);
-
-  if (!json_path.empty()) {
-    std::vector<icarus::obs::BenchEntry> entries;
-    entries.push_back({"sme_forking_set", set_stats.mean, set_stats.median,
-                       set_stats.stddev, kRepeats});
-    icarus::Status st =
-        icarus::obs::WriteBenchJson(json_path, "bench_cfa_ablation", entries);
-    if (!st.ok()) {
-      std::fprintf(stderr, "--json: %s\n", st.message().c_str());
-      return 1;
-    }
-    std::printf("json written to %s\n", json_path.c_str());
   }
 
   bool sme_ok = !buggy.verified && fixed.verified;

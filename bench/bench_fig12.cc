@@ -7,28 +7,13 @@
 // relative ordering and the universal success, not wall-clock parity).
 
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
-#include "src/obs/json.h"
 #include "src/platform/platform.h"
 #include "src/verifier/verifier.h"
 
-// Usage: bench_fig12 [--json PATH]
-// --json writes one {name, mean_ms, median_ms, stddev_ms, runs} entry per
-// generator for machine consumption (regression tracking across commits).
-int main(int argc, char** argv) {
+int main() {
   using icarus::platform::Platform;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_fig12 [--json PATH]\n");
-      return 1;
-    }
-  }
   auto loaded = Platform::Load();
   if (!loaded.ok()) {
     std::fprintf(stderr, "platform load failed: %s\n", loaded.status().message().c_str());
@@ -45,7 +30,6 @@ int main(int argc, char** argv) {
 
   constexpr int kRuns = 10;
   bool all_verified = true;
-  std::vector<icarus::obs::BenchEntry> entries;
   for (const auto& info : icarus::platform::Fig12Generators()) {
     icarus::verifier::VerifyOptions options;
     options.runs = kRuns;
@@ -60,18 +44,8 @@ int main(int argc, char** argv) {
     std::printf("%-22s %-22s %9d %10.4f %10.4f %10.4f %8s\n", info.operation, info.name,
                 r.total_loc, r.timing.mean, r.timing.p90, r.timing.stddev,
                 r.verified ? "OK" : "FAIL");
-    entries.push_back({info.function, r.timing.mean * 1e3, r.timing.median * 1e3,
-                       r.timing.stddev * 1e3, kRuns});
   }
   std::printf("\nAll 21 generators verified: %s\n", all_verified ? "yes" : "NO");
   std::printf("(paper: all 21 verify, in under a minute each, typically under 4s)\n");
-  if (!json_path.empty()) {
-    icarus::Status st = icarus::obs::WriteBenchJson(json_path, "bench_fig12", entries);
-    if (!st.ok()) {
-      std::fprintf(stderr, "--json: %s\n", st.message().c_str());
-      return 1;
-    }
-    std::printf("json written to %s\n", json_path.c_str());
-  }
   return all_verified ? 0 : 1;
 }

@@ -1,9 +1,6 @@
 #include "src/obs/json.h"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 
 #include "src/support/check.h"
 #include "src/support/flat_json.h"
@@ -101,38 +98,6 @@ JsonWriter& JsonWriter::Null() {
   BeforeValue();
   out_ += "null";
   return *this;
-}
-
-Status WriteBenchJson(const std::string& path, std::string_view bench_name,
-                      const std::vector<BenchEntry>& entries) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench").String(bench_name);
-  w.Key("entries").BeginArray();
-  for (const BenchEntry& e : entries) {
-    w.BeginObject();
-    w.Key("name").String(e.name);
-    w.Key("mean_ms").Double(e.mean_ms);
-    w.Key("median_ms").Double(e.median_ms);
-    w.Key("stddev_ms").Double(e.stddev_ms);
-    w.Key("runs").Int(e.runs);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Error(
-        StrCat("cannot open '", path, "' for bench JSON: ", std::strerror(errno)));
-  }
-  const std::string& doc = w.str();
-  size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  int newline = std::fputc('\n', f);
-  int closed = std::fclose(f);
-  if (written != doc.size() || newline == EOF || closed != 0) {
-    return Status::Error(StrCat("short write to bench JSON '", path, "'"));
-  }
-  return Status::Ok();
 }
 
 }  // namespace icarus::obs

@@ -1,6 +1,5 @@
 // Minimal streaming JSON writer shared by the observability exporters (the
-// metrics registry's JSON dump, the Chrome trace exporter) and the benchmark
-// `--json` emitters. It produces compact, valid JSON and nothing else — no
+// metrics registry's JSON dump, the Chrome trace exporter). It produces compact, valid JSON and nothing else — no
 // parsing, no DOM — because every consumer here only ever *writes*.
 //
 // Commas and nesting are managed by an explicit container stack, so callers
@@ -14,8 +13,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "src/support/status.h"
 
 namespace icarus::obs {
 
@@ -50,22 +47,6 @@ class JsonWriter {
   std::vector<bool> first_in_container_;
   bool after_key_ = false;
 };
-
-// One row of a machine-readable benchmark result (the `--json` flag of
-// bench_batch / bench_fig12): name plus summary statistics in milliseconds.
-struct BenchEntry {
-  std::string name;
-  double mean_ms = 0.0;
-  double median_ms = 0.0;
-  double stddev_ms = 0.0;
-  int runs = 0;
-};
-
-// Writes `{"bench": <bench_name>, "entries": [{name, mean_ms, median_ms,
-// stddev_ms, runs}, ...]}` to `path`. The seed format for BENCH_*.json perf
-// trajectories: append-friendly, diffable, one file per bench run.
-Status WriteBenchJson(const std::string& path, std::string_view bench_name,
-                      const std::vector<BenchEntry>& entries);
 
 }  // namespace icarus::obs
 

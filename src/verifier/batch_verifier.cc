@@ -236,8 +236,7 @@ GeneratorResult VerifyOne(const platform::Platform* platform, const std::string&
     }
 
     VerifyOptions vopts;
-    vopts.runs = options.runs;
-    vopts.build_cfa = options.build_cfa;
+    vopts.build_cfa = false;  // The batch reports verdicts, not DOT renderings.
     vopts.solver_cache = cache;
     vopts.solver_limits = limits;
     vopts.solver_options = options.solver_options;

@@ -38,11 +38,6 @@ struct BatchOptions {
   // Solver engine selection applied inside every task (clause_learning =
   // false is the `--no-clause-learning` ablation).
   sym::Solver::Options solver_options;
-  // Timing repeats per generator (passed through to VerifyOptions.runs).
-  int runs = 1;
-  // Also build each generator's CFA artifact (off by default: the batch
-  // driver reports verdicts, not DOT renderings).
-  bool build_cfa = false;
   // Re-verify a budget-inconclusive generator up to this many extra times,
   // doubling the per-query decision and wall budgets on each attempt (and
   // bypassing cached kUnknown entries so the retry actually re-solves).

@@ -300,6 +300,7 @@ TEST(DaemonE2E, RejectsMalformedNumericFlagsAtStartup) {
       {"--max-decisions", "99999999999999999999"},
       {"--max-seconds", "-1"},
       {"--cache-max-mb", "9000000000000"},
+      {"--cache-max-mb", "-1"},
       {"--jobs", "2"},
       {"--queue", "8"},
       {"--rate", "16"},

@@ -206,6 +206,42 @@ TEST_F(ServerCoreTest, ServesRealVerdictsAndWarmRepeats) {
   EXPECT_TRUE(core.FinishDrain().ok());
 }
 
+TEST_F(ServerCoreTest, WholePlatformMatchesColdVerifyThenServesWarm) {
+  // Every generator the daemon serves must get the verdict a cold one-shot
+  // Verifier::Verify gives it, and a second pass must be answered entirely
+  // from the warm view.
+  std::vector<std::string> names;
+  std::vector<std::string> cold;
+  for (const ast::FunctionDecl* fn : platform_->module().Generators()) {
+    verifier::VerifyOptions vopts;
+    vopts.build_cfa = false;
+    StatusOr<verifier::VerifyReport> report =
+        verifier::Verifier(platform_).Verify(fn->name, vopts);
+    ASSERT_TRUE(report.ok()) << fn->name << ": " << report.status().message();
+    names.push_back(fn->name);
+    cold.push_back(!report.value().meta.violations.empty() ? "COUNTEREXAMPLE"
+                   : report.value().inconclusive           ? "INCONCLUSIVE"
+                                                           : "VERIFIED");
+  }
+  ASSERT_EQ(names.size(), 38u);
+
+  ServerCore core(platform_, DaemonOptions{});
+  ASSERT_TRUE(core.Start().ok());
+  for (size_t i = 0; i < names.size(); ++i) {
+    Response first = core.Execute(Verify(names[i]));
+    EXPECT_EQ(first.status, kStatusOk) << names[i];
+    EXPECT_EQ(first.outcome, cold[i]) << names[i];
+    EXPECT_FALSE(first.cached) << names[i];
+  }
+  for (size_t i = 0; i < names.size(); ++i) {
+    Response warm = core.Execute(Verify(names[i]));
+    EXPECT_EQ(warm.outcome, cold[i]) << names[i];
+    EXPECT_TRUE(warm.cached) << names[i];
+  }
+  EXPECT_EQ(core.StatsSnapshot().warm_hits, 38);
+  EXPECT_TRUE(core.FinishDrain().ok());
+}
+
 TEST_F(ServerCoreTest, DispatchFaultsAreContainedToTheirRequest) {
   ServerCore core(platform_, DaemonOptions{});
   ASSERT_TRUE(core.Start().ok());

@@ -345,6 +345,7 @@ TEST(CliFlags, MalformedNumericFlagsExitTwo) {
       "--retries -1",
       "--max-decisions 99999999999999999999",
       "--incremental --cache-dir " + cache_dir + " --cache-max-mb 9000000000000",
+      "--incremental --cache-dir " + cache_dir + " --cache-max-mb -1",
   };
   for (const std::string& flags : bad) {
     std::string cmd = cli + " verify-all " + flags + " >/dev/null 2>&1";

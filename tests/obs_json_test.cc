@@ -5,13 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
-#include <vector>
 
-#include "src/obs/bench_baseline.h"
 #include "src/obs/json.h"
 #include "src/verifier/journal.h"
 
@@ -118,40 +114,6 @@ TEST(JournalEscaping, EmittedLineHasNoRawControlBytes) {
   EXPECT_NE(line.find("\\n"), std::string::npos);
   EXPECT_NE(line.find("\\u0002"), std::string::npos);
   EXPECT_NE(line.find("\\r"), std::string::npos);
-}
-
-TEST(BenchJson, WriterReaderRoundTrip) {
-  std::vector<BenchEntry> entries;
-  BenchEntry a;
-  a.name = "tryAttachCompareInt32";
-  a.mean_ms = 1.25;
-  a.median_ms = 1.125;
-  a.stddev_ms = 0.0625;
-  a.runs = 10;
-  entries.push_back(a);
-  BenchEntry b;
-  b.name = "weird \"name\" \xe2\x86\x92";
-  b.mean_ms = 0.5;
-  b.runs = 1;
-  entries.push_back(b);
-
-  std::string path = TempPath("bench_roundtrip.json");
-  ASSERT_TRUE(WriteBenchJson(path, "bench_fig12", entries).ok());
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  // The reader lives in bench_baseline.h; the shared contract under test here
-  // is that the writer's escaping parses back losslessly.
-  auto run = ParseBenchJson(buf.str());
-  ASSERT_TRUE(run.ok()) << run.status().message();
-  EXPECT_EQ(run.value().bench, "bench_fig12");
-  ASSERT_EQ(run.value().entries.size(), 2u);
-  EXPECT_EQ(run.value().entries[0].name, "tryAttachCompareInt32");
-  EXPECT_DOUBLE_EQ(run.value().entries[0].median_ms, 1.125);
-  EXPECT_EQ(run.value().entries[0].runs, 10);
-  EXPECT_EQ(run.value().entries[1].name, b.name);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/sym/expr.h"
@@ -350,6 +351,62 @@ TEST_F(SolverTest, DecideOnlyAblationEngineAgrees) {
   EXPECT_EQ(dpll.stats().learned_clauses, 0);
   EXPECT_EQ(dpll.stats().propagations, 0);
   EXPECT_EQ(dpll.stats().restarts, 0);
+}
+
+TEST_F(SolverTest, PersistentLearningAmortizesPathPruningStream) {
+  // The query stream a generator's path exploration sends one persistent
+  // solver: 2^6 guard prefixes over a shared ordering chain v0 < ... < v9,
+  // each path also asserting three disjunctions whose every disjunct reverses
+  // a chain link (v_{i+1} < v_i, an atom distinct from the link's negation).
+  // Every path is UNSAT, but only the theory sees it, and only through the
+  // decided disjuncts. The decide-only engine re-derives each refutation from
+  // scratch; the CDCL engine learns the per-link reversal lemmas once and
+  // answers later queries by propagation. Counters, not wall clock, carry the
+  // amortization claim (docs/SOLVER.md §"Why persistence pays").
+  constexpr int kIntVars = 10;
+  constexpr int kGuards = 6;
+  constexpr int kPasses = 8;
+  std::vector<ExprRef> ints;
+  for (int i = 0; i < kIntVars; ++i) {
+    ints.push_back(pool_.Var("v" + std::to_string(i), Sort::kInt));
+  }
+  std::vector<ExprRef> chain;
+  for (size_t i = 0; i + 1 < ints.size(); ++i) {
+    chain.push_back(pool_.Lt(ints[i], ints[i + 1]));
+  }
+  auto reversed = [&](int link) {
+    size_t i = static_cast<size_t>(link % (kIntVars - 1));
+    return pool_.Lt(ints[i + 1], ints[i]);
+  };
+  std::vector<std::vector<ExprRef>> stream;
+  for (int p = 0; p < (1 << kGuards); ++p) {
+    std::vector<ExprRef> q;
+    for (int j = 0; j < kGuards; ++j) {
+      ExprRef g = pool_.Var("g" + std::to_string(j), Sort::kBool);
+      q.push_back((p >> j & 1) != 0 ? g : pool_.Not(g));
+    }
+    q.insert(q.end(), chain.begin(), chain.end());
+    for (int j = 0; j < 3; ++j) {
+      q.push_back(pool_.Or(reversed(p + 2 * j), reversed(p + 2 * j + 3)));
+    }
+    stream.push_back(std::move(q));
+  }
+
+  Solver::Options no_learn;
+  no_learn.clause_learning = false;
+  Solver decide_only(Solver::Limits{}, no_learn);
+  Solver cdcl;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    for (size_t i = 0; i < stream.size(); ++i) {
+      ASSERT_EQ(decide_only.Solve(stream[i], /*want_model=*/false).verdict, Verdict::kUnsat) << "query " << i;
+      ASSERT_EQ(cdcl.Solve(stream[i], /*want_model=*/false).verdict, Verdict::kUnsat) << "query " << i;
+    }
+  }
+  EXPECT_GT(cdcl.stats().learned_clauses, 0);
+  EXPECT_LE(cdcl.stats().decisions * 5, decide_only.stats().decisions)
+      << cdcl.stats().decisions << " vs " << decide_only.stats().decisions;
+  EXPECT_LE(cdcl.stats().theory_checks * 5, decide_only.stats().theory_checks)
+      << cdcl.stats().theory_checks << " vs " << decide_only.stats().theory_checks;
 }
 
 // ---------------------------------------------------------------------------

@@ -64,7 +64,6 @@ namespace {
 using icarus::platform::Platform;
 using icarus::tools::IntFlag;
 using icarus::tools::kCacheMaxMbMax;
-using icarus::tools::kCacheMaxMbMin;
 using icarus::tools::kInt64Max;
 using icarus::tools::kIntMax;
 using icarus::tools::NonNegativeFlag;
@@ -168,7 +167,7 @@ int VerifyAllHelp() {
       "  --cache-max-mb N\n"
       "                  Size bound for the persisted solver cache; least-\n"
       "                  recently-used entries are evicted at save time\n"
-      "                  (default: 64; <= 0 means unbounded).\n"
+      "                  (default: 64; 0 means unbounded).\n"
       "  --fail SPEC     Arm a fail-point (fault injection, for testing the\n"
       "                  containment machinery). SPEC is one of\n"
       "                    at=SITE:N     fault on exactly the N-th hit of SITE\n"
@@ -793,7 +792,7 @@ int Run(int argc, char** argv) {
       } else if (flag == "--cache-dir" && i + 1 < argc) {
         options.cache_dir = argv[++i];
       } else if (flag == "--cache-max-mb" && i + 1 < argc) {
-        if (!IntFlag(flag, argv[++i], kCacheMaxMbMin, kCacheMaxMbMax, &options.cache_max_mb)) {
+        if (!IntFlag(flag, argv[++i], 0, kCacheMaxMbMax, &options.cache_max_mb)) {
           return 2;
         }
       } else if (flag == "--fail" && i + 1 < argc) {

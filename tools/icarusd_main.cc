@@ -39,7 +39,6 @@ namespace {
 using icarus::daemon::ServerCore;
 using icarus::tools::IntFlag;
 using icarus::tools::kCacheMaxMbMax;
-using icarus::tools::kCacheMaxMbMin;
 using icarus::tools::kInt64Max;
 using icarus::tools::NonNegativeFlag;
 
@@ -65,7 +64,8 @@ int Usage() {
       "                   another process holds the cache lock, degrade to a\n"
       "                   read-only cache view.\n"
       "  --cache-dir D    Store directory (default: .icarus-cache).\n"
-      "  --cache-max-mb N Persisted solver-cache size bound (default 64).\n"
+      "  --cache-max-mb N Persisted solver-cache size bound (default 64;\n"
+      "                   0 means unbounded).\n"
       "  --metrics FILE   Export the metrics registry on exit (Prometheus\n"
       "                   text, or JSON when FILE ends in .json).\n"
       "  --fail SPEC      Arm a fail-point (see `icarus verify-all --help`).\n"
@@ -102,7 +102,7 @@ int RunDaemon(int argc, char** argv) {
     } else if (flag == "--cache-dir" && i + 1 < argc) {
       options.cache_dir = argv[++i];
     } else if (flag == "--cache-max-mb" && i + 1 < argc) {
-      if (!IntFlag(flag, argv[++i], kCacheMaxMbMin, kCacheMaxMbMax, &options.cache_max_mb)) {
+      if (!IntFlag(flag, argv[++i], 0, kCacheMaxMbMax, &options.cache_max_mb)) {
         return 2;
       }
     } else if (flag == "--metrics" && i + 1 < argc) {

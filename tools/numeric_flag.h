@@ -19,8 +19,8 @@ namespace icarus::tools {
 inline constexpr int64_t kIntMax = std::numeric_limits<int>::max();
 inline constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
 // --cache-max-mb is multiplied into a byte count; keep that product in range.
+// It accepts [0, kCacheMaxMbMax], where 0 means unbounded.
 inline constexpr int64_t kCacheMaxMbMax = kInt64Max / (int64_t{1} << 20);
-inline constexpr int64_t kCacheMaxMbMin = std::numeric_limits<int64_t>::min() / (int64_t{1} << 20);
 
 // Parses `text`, the value of `flag`, as an integer in [lo, hi] into `*out`.
 // Prints the diagnostic and returns false on a bad value.
