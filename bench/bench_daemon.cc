@@ -19,7 +19,6 @@
 // counterpart and the warm pass is served entirely from the warm view. The
 // latency comparison (warm p99 vs. cold p50) is reported, not gated.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "src/support/timing.h"
 #include "src/sym/solver_cache.h"
 #include "src/verifier/verifier.h"
+#include "tools/numeric_flag.h"
 
 namespace {
 
@@ -42,7 +42,7 @@ icarus::daemon::Request VerifyRequest(const std::string& generator) {
 
 }  // namespace
 
-// Usage: bench_daemon [--rounds N]
+// Usage: bench_daemon [--rounds N]. Exits 2 on a malformed or non-positive N.
 int main(int argc, char** argv) {
   using icarus::ComputeStats;
   using icarus::SampleStats;
@@ -52,7 +52,9 @@ int main(int argc, char** argv) {
   int rounds = 8;  // Warm passes over the fleet (more samples for the tail).
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
-      rounds = std::atoi(argv[++i]);
+      if (!icarus::tools::IntFlag("--rounds", argv[++i], 1, icarus::tools::kIntMax, &rounds)) {
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "usage: bench_daemon [--rounds N]\n");
       return 1;

@@ -287,6 +287,11 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
   result.solver_learned_clauses =
       solver.stats().learned_clauses - stats_before.learned_clauses;
   result.solver_restarts = solver.stats().restarts - stats_before.restarts;
+  result.solver_theory_checks = solver.stats().theory_checks - stats_before.theory_checks;
+  result.solver_theory_conflicts =
+      solver.stats().theory_conflicts - stats_before.theory_conflicts;
+  result.solver_theory_core_literals =
+      solver.stats().theory_core_literals - stats_before.theory_core_literals;
   if (obs::Enabled()) {
     static obs::Counter* explored = obs::Registry::Global().GetCounter(
         "icarus_meta_paths_explored_total", "Meta-execution paths explored");

@@ -85,6 +85,11 @@ struct MetaResult {
   int64_t solver_propagations = 0;     // Literals assigned by unit propagation.
   int64_t solver_learned_clauses = 0;  // 1-UIP clauses + theory lemmas learned.
   int64_t solver_restarts = 0;         // Luby restarts.
+  // Theory counters from the same solver (the decide-only engine counts its
+  // checks too, but never learns from a conflict).
+  int64_t solver_theory_checks = 0;         // Full-assignment theory checks.
+  int64_t solver_theory_conflicts = 0;      // Checks that ended in a conflict.
+  int64_t solver_theory_core_literals = 0;  // Literals across their cores.
   std::string Summary() const;
 };
 

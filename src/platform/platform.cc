@@ -163,6 +163,22 @@ std::string Platform::Fingerprint() const {
 }
 
 int Platform::TotalLoc(const std::string& generator_name) const {
+  {
+    std::lock_guard<std::mutex> lock(total_loc_mu_);
+    auto it = total_loc_.find(generator_name);
+    if (it != total_loc_.end()) {
+      return it->second;
+    }
+  }
+  // The walk runs unlocked; two threads racing on one name compute the same
+  // number.
+  const int loc = ComputeTotalLoc(generator_name);
+  std::lock_guard<std::mutex> lock(total_loc_mu_);
+  total_loc_.emplace(generator_name, loc);
+  return loc;
+}
+
+int Platform::ComputeTotalLoc(const std::string& generator_name) const {
   const ast::FunctionDecl* generator = module_->FindFunction(generator_name);
   if (generator == nullptr) {
     return 0;

@@ -13,7 +13,9 @@
 #define ICARUS_PLATFORM_PLATFORM_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/ast/ast.h"
@@ -76,7 +78,8 @@ class Platform {
 
   // Total Icarus LoC attributable to `generator_name`: its own source plus
   // the sources of everything in its call/emit graph (compiler callbacks,
-  // interpreter callbacks, helpers), the way Figure 12 counts.
+  // interpreter callbacks, helpers), the way Figure 12 counts. Computed on
+  // first use per generator and remembered; safe to call concurrently.
   int TotalLoc(const std::string& generator_name) const;
 
   // Stable fingerprint of the loaded platform: hashes every function's name
@@ -95,8 +98,12 @@ class Platform {
 
  private:
   Platform() = default;
+  int ComputeTotalLoc(const std::string& generator_name) const;
+
   std::unique_ptr<ast::Module> module_;
   exec::ExternRegistry externs_;
+  mutable std::mutex total_loc_mu_;
+  mutable std::unordered_map<std::string, int> total_loc_;  // Guarded by total_loc_mu_.
 };
 
 }  // namespace icarus::platform

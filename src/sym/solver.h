@@ -14,11 +14,13 @@
 //      query — which is what lets one Solver instance stay warm across all
 //      paths of a generator and answer sibling-path queries from learned
 //      clauses;
-//   3. a theory check at each full (relevancy-bounded) assignment:
-//      congruence closure for equality + uninterpreted functions, difference
-//      bounds, and interval propagation. Theory conflicts come back as
-//      *theory lemmas* — valid clauses over the conflicting atoms — that are
-//      learned like any other clause and prune sibling paths;
+//   3. a theory check at each full (relevancy-bounded) assignment against
+//      one persistent, backtrackable theory state (theory.h): congruence
+//      closure for equality + uninterpreted functions, difference bounds,
+//      and interval propagation. The theory explains its own conflicts; the
+//      negated core comes back as a *theory lemma* — a valid clause over the
+//      conflicting atoms — that is learned like any other clause and prunes
+//      sibling paths;
 //   4. model extraction for counterexample reporting.
 //
 // Sound for UNSAT answers within the supported fragment; SAT answers come
@@ -101,6 +103,7 @@ struct SolverStats {
   int64_t restarts = 0;          // Search restarts (Luby policy).
   int64_t theory_checks = 0;     // Full-assignment theory checks.
   int64_t theory_conflicts = 0;  // Theory checks that produced a lemma.
+  int64_t theory_core_literals = 0;  // Literals across all theory-lemma cores.
   int64_t queries = 0;
   int64_t cache_hits = 0;           // Queries answered by a kSat/kUnsat entry.
   int64_t cache_negative_hits = 0;  // Queries answered by a kUnknown entry.

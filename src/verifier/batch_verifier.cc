@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "src/ast/fingerprint.h"
 #include "src/meta/path_recorder.h"
@@ -136,10 +137,24 @@ std::string BatchReport::RenderExplain() const {
 
 std::string BatchReport::RenderStatsTable() const {
   std::string out =
-      StrFormat("%-44s %-15s %9s %8s %8s %9s %9s %10s %8s %9s %8s %8s %-9s\n", "Generator",
-                "Outcome", "Total(s)", "CFA(s)", "Gen(s)", "Interp(s)", "Solve(s)", "Decisions",
-                "Queries", "Props", "Learned", "Restarts", "Dominant");
-  const size_t rule_width = 168;
+      StrFormat("%-44s %-15s %9s %8s %8s %9s %9s %10s %8s %9s %8s %8s %8s %6s %-9s\n",
+                "Generator", "Outcome", "Total(s)", "CFA(s)", "Gen(s)", "Interp(s)", "Solve(s)",
+                "Decisions", "Queries", "Props", "Learned", "Restarts", "TChecks", "Core",
+                "Dominant");
+  const size_t rule_width = 184;
+  // Theory columns: full-assignment checks and the mean conflict-core size.
+  // Journal rows restored by --resume carry neither and show "-".
+  auto theory_cells = [](bool known, long long checks, long long conflicts,
+                         long long core_literals) {
+    if (!known) {
+      return std::make_pair(std::string("-"), std::string("-"));
+    }
+    return std::make_pair(
+        StrFormat("%lld", checks),
+        conflicts == 0 ? std::string("-")
+                       : StrFormat("%.1f", static_cast<double>(core_literals) /
+                                               static_cast<double>(conflicts)));
+  };
   out += std::string(rule_width, '-') + "\n";
   double sum_cfa = 0.0;
   double sum_gen = 0.0;
@@ -150,6 +165,9 @@ std::string BatchReport::RenderStatsTable() const {
   long long sum_propagations = 0;
   long long sum_learned = 0;
   long long sum_restarts = 0;
+  long long sum_theory_checks = 0;
+  long long sum_theory_conflicts = 0;
+  long long sum_core_literals = 0;
   std::vector<double> row_seconds;
   for (const GeneratorResult& r : results) {
     if (r.outcome == Outcome::kError || r.outcome == Outcome::kInternalError) {
@@ -171,14 +189,24 @@ std::string BatchReport::RenderStatsTable() const {
         dominant = name;
       }
     }
+    const meta::MetaResult& m = r.report.meta;
+    const auto [tchecks, core] = theory_cells(!r.resumed, m.solver_theory_checks,
+                                              m.solver_theory_conflicts,
+                                              m.solver_theory_core_literals);
     out += StrFormat(
-        "%-44s %-15s %9.4f %8.4f %8.4f %9.4f %9.4f %10lld %8lld %9lld %8lld %8lld %-9s\n",
+        "%-44s %-15s %9.4f %8.4f %8.4f %9.4f %9.4f %10lld %8lld %9lld %8lld %8lld %8s %6s "
+        "%-9s\n",
         r.generator.c_str(), OutcomeName(r.outcome), r.seconds, cfa, gen, interp,
-        solve, static_cast<long long>(r.report.meta.solver_decisions),
-        static_cast<long long>(r.report.meta.solver_queries),
-        static_cast<long long>(r.report.meta.solver_propagations),
-        static_cast<long long>(r.report.meta.solver_learned_clauses),
-        static_cast<long long>(r.report.meta.solver_restarts), dominant);
+        solve, static_cast<long long>(m.solver_decisions),
+        static_cast<long long>(m.solver_queries),
+        static_cast<long long>(m.solver_propagations),
+        static_cast<long long>(m.solver_learned_clauses),
+        static_cast<long long>(m.solver_restarts), tchecks.c_str(), core.c_str(), dominant);
+    if (!r.resumed) {
+      sum_theory_checks += m.solver_theory_checks;
+      sum_theory_conflicts += m.solver_theory_conflicts;
+      sum_core_literals += m.solver_theory_core_literals;
+    }
     sum_cfa += cfa;
     sum_gen += gen;
     sum_interp += interp;
@@ -195,10 +223,13 @@ std::string BatchReport::RenderStatsTable() const {
   for (double s : row_seconds) {
     sum_total += s;
   }
+  const auto [total_tchecks, total_core] =
+      theory_cells(true, sum_theory_checks, sum_theory_conflicts, sum_core_literals);
   out += StrFormat(
-      "%-44s %-15s %9.4f %8.4f %8.4f %9.4f %9.4f %10lld %8lld %9lld %8lld %8lld\n",
+      "%-44s %-15s %9.4f %8.4f %8.4f %9.4f %9.4f %10lld %8lld %9lld %8lld %8lld %8s %6s\n",
       "TOTAL", "", sum_total, sum_cfa, sum_gen, sum_interp, sum_solve, sum_decisions,
-      sum_queries, sum_propagations, sum_learned, sum_restarts);
+      sum_queries, sum_propagations, sum_learned, sum_restarts, total_tchecks.c_str(),
+      total_core.c_str());
   SampleStats stats = ComputeStats(row_seconds);
   out += StrFormat("per-generator seconds: p50 %.4f, p90 %.4f, p99 %.4f (n=%d)\n", stats.p50,
                    stats.p90, stats.p99, static_cast<int>(row_seconds.size()));

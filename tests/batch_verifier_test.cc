@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/platform/platform.h"
@@ -189,6 +191,70 @@ TEST_F(BatchVerifierTest, RenderTableMentionsEveryGenerator) {
   EXPECT_NE(table.find("VERIFIED"), std::string::npos);
   EXPECT_NE(table.find("COUNTEREXAMPLE"), std::string::npos);
   EXPECT_NE(table.find("2 generators"), std::string::npos);
+}
+
+TEST_F(BatchVerifierTest, StatsTableShowsTheoryCountersAndDashesForResumedRows) {
+  BatchVerifier batch(platform_);
+  BatchOptions opts;
+  opts.jobs = 1;
+  BatchReport report = batch.VerifyAll({"bug1685925_buggy"}, opts).take();
+  ASSERT_EQ(report.results.size(), 1u);
+  const int64_t checks = report.results[0].report.meta.solver_theory_checks;
+  EXPECT_GT(checks, 0);
+  EXPECT_LE(report.results[0].report.meta.solver_theory_conflicts, checks);
+  StatusOr<GeneratorResult> restored =
+      ResultFromRecord(RecordFromResult(report.results[0], "fingerprint"));
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  report.results.push_back(restored.take());
+  std::istringstream table(report.RenderStatsTable());
+  // Columns: name, outcome, 5 stage times, decisions, queries, props,
+  // learned, restarts, TChecks, Core, dominant.
+  std::vector<std::vector<std::string>> rows;
+  for (std::string line; std::getline(table, line);) {
+    std::istringstream cells(line);
+    std::vector<std::string> row;
+    for (std::string cell; cells >> cell;) {
+      row.push_back(cell);
+    }
+    if (!row.empty() && (row[0] == "Generator" || row[0] == "bug1685925_buggy")) {
+      rows.push_back(row);
+    }
+  }
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0][12], "TChecks");
+  EXPECT_EQ(rows[0][13], "Core");
+  EXPECT_EQ(rows[1][12], std::to_string(checks));
+  EXPECT_EQ(rows[2][12], "-");  // Restored from the journal: not recomputed.
+  EXPECT_EQ(rows[2][13], "-");
+}
+
+TEST_F(BatchVerifierTest, TotalLocIsStableAcrossConcurrentFirstCalls) {
+  // A fresh platform, so every thread races on the first computation.
+  StatusOr<std::unique_ptr<platform::Platform>> fresh = platform::Platform::Load();
+  ASSERT_TRUE(fresh.ok());
+  std::vector<std::string> names;
+  for (const auto& info : platform::Fig12Generators()) {
+    names.push_back(info.function);
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<int>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const std::string& name : names) {
+        got[static_cast<size_t>(t)].push_back(fresh.value()->TotalLoc(name));
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_GT(got[0][i], 0) << names[i];
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(got[static_cast<size_t>(t)][i], platform_->TotalLoc(names[i])) << names[i];
+    }
+  }
 }
 
 }  // namespace

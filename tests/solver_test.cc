@@ -7,6 +7,7 @@
 
 #include "src/sym/expr.h"
 #include "src/sym/solver.h"
+#include "src/sym/theory.h"
 
 namespace icarus::sym {
 namespace {
@@ -507,7 +508,297 @@ TEST_P(SolverSweepTest, ChainOfBoundsIsDecided) {
   EXPECT_EQ(solver2.Solve(cs).verdict, Verdict::kSat);
 }
 
-INSTANTIATE_TEST_SUITE_P(Chains, SolverSweepTest, ::testing::Values(1, 2, 3, 5, 8, 12));
+INSTANTIATE_TEST_SUITE_P(Chains, SolverSweepTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 12, 16, 32, 48, 64));
+
+// ---------------------------------------------------------------------------
+// Chains whose verdicts are known by construction, at sizes on both sides of
+// where conflict cores used to be truncated. Each formula goes through one
+// warm solver (shared by all four formulas of a size, so lemmas learned on
+// one carry into the next) and a fresh decide-only solver; every SAT model
+// must satisfy each conjunct when evaluated concretely.
+// ---------------------------------------------------------------------------
+
+// Evaluates integer/term `e` under `model`: variables by witness, constants
+// and + by arithmetic, applications by the value of their class.
+bool EvalTerm(const Model& model, ExprRef e, int64_t* out) {
+  switch (e->kind) {
+    case Kind::kConstInt:
+      *out = e->value;
+      return true;
+    case Kind::kVar:
+      return model.LookupWitness(e->name, out);
+    case Kind::kAdd: {
+      int64_t a = 0;
+      int64_t b = 0;
+      if (!EvalTerm(model, e->args[0], &a) || !EvalTerm(model, e->args[1], &b)) {
+        return false;
+      }
+      *out = a + b;
+      return true;
+    }
+    default:
+      return model.Lookup(e, out);
+  }
+}
+
+// Checks that `literal` (an atom or its negation) holds under `model`.
+void ExpectHolds(const Model& model, ExprRef literal) {
+  bool want = true;
+  if (literal->kind == Kind::kNot) {
+    want = false;
+    literal = literal->args[0];
+  }
+  int64_t a = 0;
+  int64_t b = 0;
+  ASSERT_TRUE(EvalTerm(model, literal->args[0], &a)) << ExprPool::ToString(literal);
+  ASSERT_TRUE(EvalTerm(model, literal->args[1], &b)) << ExprPool::ToString(literal);
+  bool holds = false;
+  switch (literal->kind) {
+    case Kind::kEq:
+      holds = a == b;
+      break;
+    case Kind::kLt:
+      holds = a < b;
+      break;
+    case Kind::kLe:
+      holds = a <= b;
+      break;
+    default:
+      FAIL() << "unexpected atom " << ExprPool::ToString(literal);
+  }
+  EXPECT_EQ(holds, want) << ExprPool::ToString(literal) << " with " << a << ", " << b;
+}
+
+// f^n(t).
+ExprRef Iterate(ExprPool* pool, ExprRef t, int n) {
+  for (int i = 0; i < n; ++i) {
+    t = pool->App("f", {t}, Sort::kTerm);
+  }
+  return t;
+}
+
+class KnownVerdictChainTest : public ::testing::TestWithParam<int> {
+ protected:
+  void Expect(const std::vector<ExprRef>& conjuncts, Verdict want) {
+    Solver::Options no_learn;
+    no_learn.clause_learning = false;
+    Solver decide_only(Solver::Limits{}, no_learn);
+    for (Solver* solver : {&warm_, &decide_only}) {
+      SolveResult r = solver->Solve(conjuncts);
+      ASSERT_EQ(r.verdict, want) << (solver == &warm_ ? "warm CDCL" : "decide-only");
+      if (r.verdict == Verdict::kSat) {
+        for (ExprRef c : conjuncts) {
+          ExpectHolds(r.model, c);
+        }
+        // The model's f must be a function: equal arguments, equal values.
+        for (int i = 1; i <= GetParam(); ++i) {
+          int64_t fa = 0;
+          int64_t fb = 0;
+          int64_t a = 0;
+          int64_t b = 0;
+          ExprRef ta = Iterate(&pool_, a_, i);
+          ExprRef tb = Iterate(&pool_, b_, i);
+          if (EvalTerm(r.model, ta->args[0], &a) && EvalTerm(r.model, tb->args[0], &b) &&
+              a == b && EvalTerm(r.model, ta, &fa) && EvalTerm(r.model, tb, &fb)) {
+            EXPECT_EQ(fa, fb) << "f is not functional at depth " << i;
+          }
+        }
+      }
+    }
+  }
+  ExprPool pool_;
+  Solver warm_;
+  ExprRef a_ = pool_.Var("a", Sort::kTerm);
+  ExprRef b_ = pool_.Var("b", Sort::kTerm);
+};
+
+TEST_P(KnownVerdictChainTest, DifferenceAndCongruenceChains) {
+  const int n = GetParam();
+  std::vector<ExprRef> x;
+  for (int i = 0; i <= n; ++i) {
+    x.push_back(pool_.Var("x" + std::to_string(i), Sort::kInt));
+  }
+  std::vector<ExprRef> chain;
+  for (int i = 0; i < n; ++i) {
+    chain.push_back(pool_.Lt(x[static_cast<size_t>(i)], x[static_cast<size_t>(i) + 1]));
+  }
+  ExprRef x0_plus_n = pool_.Add(x[0], pool_.IntConst(n));
+  // x0 < ... < xn ∧ xn < x0 + n: UNSAT (the chain needs n gaps).
+  std::vector<ExprRef> unsat = chain;
+  unsat.push_back(pool_.Lt(x.back(), x0_plus_n));
+  Expect(unsat, Verdict::kUnsat);
+  // x0 < ... < xn ∧ xn <= x0 + n: SAT, tight.
+  std::vector<ExprRef> sat = chain;
+  sat.push_back(pool_.Le(x.back(), x0_plus_n));
+  Expect(sat, Verdict::kSat);
+
+  // f^n(a) != f^n(b) ∧ a = b: UNSAT by n congruences.
+  ExprRef differ = pool_.Ne(Iterate(&pool_, a_, n), Iterate(&pool_, b_, n));
+  Expect({differ, pool_.Eq(a_, b_)}, Verdict::kUnsat);
+  // Without the closing equality: SAT.
+  Expect({differ}, Verdict::kSat);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, KnownVerdictChainTest,
+                         ::testing::Values(1, 2, 8, 16, 32, 48, 64));
+
+// ---------------------------------------------------------------------------
+// Theory cores. Random literal sets over a small mixed vocabulary are
+// asserted into one long-lived Theory (undone between rounds) and into a
+// fresh one; both must agree, and whenever they report a conflict the core
+// must be a subset of the asserted literals that conflicts again on its own
+// in a fresh state.
+// ---------------------------------------------------------------------------
+
+// Asserts `literals` (atom, truth) into `theory` in order and runs the final
+// check. Returns true when consistent; `ids` receives the atom ids.
+bool AssertAll(Theory* theory, const std::vector<std::pair<ExprRef, bool>>& literals,
+               std::vector<int>* ids) {
+  ids->clear();
+  for (const auto& [atom, truth] : literals) {
+    ids->push_back(theory->AddAtom(atom));
+  }
+  for (size_t i = 0; i < literals.size(); ++i) {
+    if ((*ids)[i] >= 0 && !theory->Assert((*ids)[i], literals[i].second)) {
+      return false;
+    }
+  }
+  return theory->Check();
+}
+
+class TheoryCoreTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TheoryCoreTest, CoresAreAssertedAndConflictAlone) {
+  uint64_t state = GetParam() * 0x9E3779B97F4A7C15ULL + 7;
+  auto rnd = [&state](int n) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return static_cast<int>(state % static_cast<uint64_t>(n));
+  };
+  ExprPool pool;
+  std::vector<ExprRef> ints;
+  std::vector<ExprRef> terms;
+  for (int i = 0; i < 4; ++i) {
+    ints.push_back(pool.Var("i" + std::to_string(i), Sort::kInt));
+  }
+  for (int i = 0; i < 3; ++i) {
+    terms.push_back(pool.Var("t" + std::to_string(i), Sort::kTerm));
+  }
+  auto int_term = [&]() -> ExprRef {
+    ExprRef v = ints[static_cast<size_t>(rnd(4))];
+    switch (rnd(10)) {
+      case 0:
+        return pool.IntConst(rnd(5) - 1);
+      case 1:
+        return pool.Add(v, pool.IntConst(rnd(3) + 1));
+      case 2:
+        return pool.Sub(v, ints[static_cast<size_t>(rnd(4))]);
+      case 3:
+        return pool.App("len", {terms[static_cast<size_t>(rnd(3))]}, Sort::kInt);
+      case 4:
+        return pool.Mul(v, pool.IntConst(2));
+      case 5:
+        return pool.Div(v, ints[static_cast<size_t>(rnd(4))]);
+      case 6:
+        return pool.Mod(v, ints[static_cast<size_t>(rnd(4))]);
+      case 7:
+        return pool.Neg(v);
+      default:
+        return v;
+    }
+  };
+  auto term_term = [&]() -> ExprRef {
+    ExprRef t = terms[static_cast<size_t>(rnd(3))];
+    for (int d = rnd(3); d > 0; --d) {
+      t = pool.App("f", {t}, Sort::kTerm);
+    }
+    return t;
+  };
+  auto atom = [&]() -> ExprRef {
+    switch (rnd(6)) {
+      case 0:
+        return pool.Lt(int_term(), int_term());
+      case 1:
+        return pool.Le(int_term(), int_term());
+      case 2:
+        return pool.Eq(int_term(), int_term());
+      case 3:
+        return pool.Eq(term_term(), term_term());
+      case 4:
+        return pool.App("p", {term_term()}, Sort::kBool);
+      default:
+        return pool.Eq(ints[static_cast<size_t>(rnd(4))], int_term());
+    }
+  };
+  Theory warm;
+  int conflicts = 0;
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::pair<ExprRef, bool>> literals;
+    const int n = 1 + rnd(8);
+    for (int i = 0; i < n; ++i) {
+      ExprRef a = atom();
+      if (a->kind == Kind::kConstBool) {
+        continue;  // Folded by the pool.
+      }
+      bool duplicate = false;
+      for (const auto& [b, truth] : literals) {
+        duplicate |= (a == b);
+      }
+      if (!duplicate) {
+        literals.emplace_back(a, rnd(2) == 0);
+      }
+    }
+    warm.Undo(0);
+    std::vector<int> ids;
+    const bool warm_ok = AssertAll(&warm, literals, &ids);
+    Theory fresh;
+    std::vector<int> fresh_ids;
+    ASSERT_EQ(AssertAll(&fresh, literals, &fresh_ids), warm_ok)
+        << "warm and fresh theories disagree at seed " << GetParam() << " round " << round;
+    // Popping a suffix and asserting it again must land on the same verdict.
+    if (warm_ok && literals.size() > 1) {
+      const size_t keep = static_cast<size_t>(rnd(static_cast<int>(literals.size())));
+      warm.Undo(0);
+      for (size_t i = 0; i < keep; ++i) {
+        if (ids[i] >= 0) {
+          ASSERT_TRUE(warm.Assert(ids[i], literals[i].second));
+        }
+      }
+      const size_t mark = warm.Mark();
+      for (int pass = 0; pass < 2; ++pass) {
+        warm.Undo(mark);
+        for (size_t i = keep; i < literals.size(); ++i) {
+          if (ids[i] >= 0) {
+            ASSERT_TRUE(warm.Assert(ids[i], literals[i].second));
+          }
+        }
+        ASSERT_TRUE(warm.Check()) << "verdict changed after undo at round " << round;
+      }
+    }
+    if (warm_ok) {
+      continue;
+    }
+    ++conflicts;
+    std::vector<std::pair<ExprRef, bool>> core;
+    for (int id : warm.conflict()) {
+      auto it = std::find(ids.begin(), ids.end(), id);
+      ASSERT_NE(it, ids.end()) << "core names an atom that was never asserted";
+      const auto& lit = literals[static_cast<size_t>(it - ids.begin())];
+      ASSERT_EQ(warm.asserted_truth(id), lit.second);
+      core.push_back(lit);
+    }
+    Theory alone;
+    std::vector<int> core_ids;
+    EXPECT_FALSE(AssertAll(&alone, core, &core_ids))
+        << "core does not conflict on its own at seed " << GetParam() << " round " << round;
+  }
+  EXPECT_GT(conflicts, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomLiteralSets, TheoryCoreTest,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
 }  // namespace
 }  // namespace icarus::sym
