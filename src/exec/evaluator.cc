@@ -143,7 +143,7 @@ bool EvalContext::PathFeasible() {
   return r.verdict == sym::Verdict::kSat;
 }
 
-bool EvalContext::CheckAssert(sym::ExprRef cond, const std::string& what,
+bool EvalContext::CheckAssert(sym::ExprRef cond, const std::function<std::string()>& what,
                               const std::string& fn, int line) {
   if (status_ != PathStatus::kCompleted) {
     return false;
@@ -159,7 +159,7 @@ bool EvalContext::CheckAssert(sym::ExprRef cond, const std::string& what,
   if (trace_pos_ < trace_.size()) {
     Assume(cond);
     if (recording_) {
-      LogEvent(StrCat("assert ok (prefix replay): ", what, "  [", fn, ":", line, "]"));
+      LogEvent(StrCat("assert ok (prefix replay): ", what(), "  [", fn, ":", line, "]"));
     }
     return true;
   }
@@ -170,23 +170,24 @@ bool EvalContext::CheckAssert(sym::ExprRef cond, const std::string& what,
     // The assertion holds on every model of this path; keep it as a lemma.
     Assume(cond);
     if (recording_) {
-      LogEvent(StrCat("assert ok: ", what, "  [", fn, ":", line, "]"));
+      LogEvent(StrCat("assert ok: ", what(), "  [", fn, ":", line, "]"));
     }
     return true;
   }
   if (r.verdict == sym::Verdict::kUnknown) {
     ++solver_unknowns_;
     status_ = PathStatus::kLimit;
-    violation_.message = StrCat("solver limit while checking: ", what);
+    const std::string text = what();
+    violation_.message = StrCat("solver limit while checking: ", text);
     violation_.function = fn;
     violation_.line = line;
     if (recording_) {
-      LogEvent(StrCat("assert UNDECIDED (solver budget): ", what, "  [", fn, ":", line, "]"));
+      LogEvent(StrCat("assert UNDECIDED (solver budget): ", text, "  [", fn, ":", line, "]"));
     }
     return false;
   }
   status_ = PathStatus::kViolation;
-  violation_.message = what;
+  violation_.message = what();
   violation_.function = fn;
   violation_.line = line;
   violation_.model = r.model.ToString();
@@ -196,7 +197,7 @@ bool EvalContext::CheckAssert(sym::ExprRef cond, const std::string& what,
   // it is safe.
   violation_.witnesses = std::move(r.model.witnesses);
   if (recording_) {
-    LogEvent(StrCat("assert VIOLATED: ", what, "  [", fn, ":", line, "]"));
+    LogEvent(StrCat("assert VIOLATED: ", violation_.message, "  [", fn, ":", line, "]"));
   }
   return false;
 }
@@ -423,7 +424,8 @@ Flow ExecStmt(EvalContext& ctx, ExecEnv& env, const ast::Stmt& stmt) {
       if (ctx.status() != PathStatus::kCompleted) {
         return Flow::kAbort;
       }
-      if (!ctx.CheckAssert(cond.term, ast::PrintExpr(*stmt.expr), fn_name, stmt.loc.line)) {
+      if (!ctx.CheckAssert(cond.term, [&stmt] { return ast::PrintExpr(*stmt.expr); }, fn_name,
+                           stmt.loc.line)) {
         return Flow::kAbort;
       }
       return Flow::kNormal;
@@ -605,10 +607,12 @@ Value Evaluator::CallExtern(EvalContext& ctx, const ast::ExternFnDecl* ext,
     if (ctx.status() != PathStatus::kCompleted) {
       return Value{};
     }
-    if (!ctx.CheckAssert(cond.term,
-                         StrCat("requires of ", ext->name, ": ",
-                                ast::PrintExpr(*clause.expr)),
-                         ext->name, clause.expr->loc.line)) {
+    if (!ctx.CheckAssert(
+            cond.term,
+            [ext, &clause] {
+              return StrCat("requires of ", ext->name, ": ", ast::PrintExpr(*clause.expr));
+            },
+            ext->name, clause.expr->loc.line)) {
       return Value{};
     }
   }

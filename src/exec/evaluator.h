@@ -248,8 +248,10 @@ class EvalContext {
   bool PathFeasible();
   // Verifies `cond` holds on all models of the path condition. On failure
   // records a Violation and flips the path status. Returns false on failure.
-  bool CheckAssert(sym::ExprRef cond, const std::string& what, const std::string& fn,
-                   int line);
+  // `what` renders the checked condition's text; it runs only when a message
+  // needs it (a failed or undecided check, or an event while recording).
+  bool CheckAssert(sym::ExprRef cond, const std::function<std::string()>& what,
+                   const std::string& fn, int line);
   // Records a concrete (non-symbolic) discipline failure.
   void FailPath(const std::string& message, const std::string& fn, int line);
   // Chooses a branch for `cond`: concrete conditions simply evaluate;

@@ -246,8 +246,9 @@ void RegisterMachineBuiltins(ExternRegistry* registry, const ast::Module* module
             sym::ExprRef in_range =
                 pool.And(pool.Le(pool.IntConst(kInt32Min), args[1].term),
                          pool.Le(args[1].term, pool.IntConst(kInt32Max)));
-            if (!ctx.CheckAssert(in_range, StrCat(acc.set_name, ": value fits in int32"),
-                                 acc.set_name, 0)) {
+            if (!ctx.CheckAssert(
+                    in_range, [&acc] { return StrCat(acc.set_name, ": value fits in int32"); },
+                    acc.set_name, 0)) {
               return Value::Void(ctx.module().types().Void());
             }
           }

@@ -292,6 +292,8 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
       solver.stats().theory_conflicts - stats_before.theory_conflicts;
   result.solver_theory_core_literals =
       solver.stats().theory_core_literals - stats_before.theory_core_literals;
+  result.solver_assumptions_placed =
+      solver.stats().assumptions_placed - stats_before.assumptions_placed;
   if (obs::Enabled()) {
     static obs::Counter* explored = obs::Registry::Global().GetCounter(
         "icarus_meta_paths_explored_total", "Meta-execution paths explored");

@@ -90,6 +90,9 @@ struct MetaResult {
   int64_t solver_theory_checks = 0;         // Full-assignment theory checks.
   int64_t solver_theory_conflicts = 0;      // Checks that ended in a conflict.
   int64_t solver_theory_core_literals = 0;  // Literals across their cores.
+  // Assumption levels the CDCL engine placed; a kept warm prefix is not
+  // placed again, so this falls below the summed assumption counts.
+  int64_t solver_assumptions_placed = 0;
   std::string Summary() const;
 };
 

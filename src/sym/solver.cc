@@ -1,6 +1,7 @@
 #include "src/sym/solver.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 
 #include "src/obs/metrics.h"
@@ -197,7 +198,9 @@ bool Model::LookupWitness(std::string_view name, int64_t* out) const {
 // terms that share long prefixes across sibling paths, so the engine is built
 // to be *persistent* — the Tseitin encoding and every learned clause survive
 // across queries, and each query is solved under MiniSat-style assumptions
-// rather than by asserting its conjuncts. Theory reasoning is layered on top
+// rather than by asserting its conjuncts. The trail survives too: the levels
+// of the assumptions a query shares with the one before stay in place (the
+// warm prefix, docs/SOLVER.md). Theory reasoning is layered on top
 // (lazy SMT): at each full assignment of the query-relevant variables the
 // engine's Theory (theory.h) is brought up to date with the trail and
 // checked, and a theory conflict is turned into a theory lemma — the
@@ -260,31 +263,47 @@ class Solver::Cdcl {
       res.verdict = Verdict::kUnsat;
       return res;
     }
-    CancelUntil(0);
-    // Encode at level 0: new Tseitin definitions become permanent clauses.
-    assump_lits_.clear();
-    assump_terms_.clear();
-    assump_index_of_var_.clear();
-    for (int sel : selectors) {
-      assump_lits_.push_back(MkLit(sel, false));
-      assump_terms_.push_back(nullptr);
+    // Warm prefix (trail reuse): a query repeats most of the previous one's
+    // assumptions, and trail levels 1..k still hold the previous query's
+    // first k assumptions with their propagations and the theory state
+    // asserted for them. Keep the longest prefix the new query repeats and
+    // encode, mark and place only the rest.
+    const size_t num_selectors = selectors.size();
+    const size_t n = num_selectors + assumptions.size();
+    auto term_at = [&](size_t i) {
+      return i < num_selectors ? nullptr : assumptions[i - num_selectors];
+    };
+    size_t keep = 0;
+    while (keep < n && keep < assump_lits_.size() && assump_terms_[keep] == term_at(keep) &&
+           (term_at(keep) != nullptr || assump_lits_[keep] == MkLit(selectors[keep], false))) {
+      ++keep;
     }
-    for (ExprRef t : assumptions) {
-      assump_lits_.push_back(EncodeTerm(t));
+    TruncateAssumptions(keep);
+    CancelUntil(static_cast<int>(keep));
+    // Encoding may add Tseitin clauses above level 0 (AddClauseLits keeps
+    // the trail consistent with them). Relevancy: decisions (and hence
+    // theory-check size) are confined to the closure of this query's
+    // assumptions and active temporary clauses.
+    for (size_t i = keep; i < n; ++i) {
+      const ExprRef t = term_at(i);
+      const Lit lit = t == nullptr ? MkLit(selectors[i], false) : EncodeTerm(t);
+      assump_lits_.push_back(lit);
       assump_terms_.push_back(t);
-    }
-    for (size_t i = 0; i < assump_lits_.size(); ++i) {
-      assump_index_of_var_.emplace(VarOf(assump_lits_[i]), static_cast<int>(i));
-    }
-    // Relevancy: decisions (and hence theory-check size) are confined to the
-    // closure of this query's assumptions and active temporary clauses.
-    ++relevancy_stamp_;
-    relevant_list_.clear();
-    for (ExprRef t : assumptions) {
-      MarkRelevant(t);
+      int& index = vars_[static_cast<size_t>(VarOf(lit))].assump_index;
+      if (index < 0) {
+        index = static_cast<int>(i);
+      }
+      if (t != nullptr) {
+        MarkRelevant(t);
+      }
+      relevant_ends_.push_back(relevant_list_.size());
     }
     for (ExprRef t : clause_roots) {
       MarkRelevant(t);
+    }
+    if (!ok_) {
+      res.verdict = Verdict::kUnsat;
+      return res;
     }
 
     // Budgets are per query; decisions count from this query's start.
@@ -318,6 +337,7 @@ class Solver::Cdcl {
           // Place the next assumption on its own decision level. Assumptions
           // are decisions, never clauses: nothing learned can depend on them.
           int idx = DecisionLevel();
+          ++stats_->assumptions_placed;
           Lit p = assump_lits_[static_cast<size_t>(idx)];
           if (LitValue(p) == LB::kTrue) {
             NewDecisionLevel();  // Dummy level keeps index == level in sync.
@@ -379,7 +399,7 @@ class Solver::Cdcl {
       ++stats_->learned_clauses;
       var_inc_ /= kActivityDecay;
     }
-    CancelUntil(0);
+    // The trail is left in place: the next query keeps what it repeats.
     if (verdict == Verdict::kUnknown) {
       ++stats_->budget_exhausted;
     }
@@ -403,11 +423,12 @@ class Solver::Cdcl {
     bool phase = true;   // Saved polarity; starts true (try-true-first, like
                          // the decide-only engine).
     bool is_atom = false;
+    bool relevant = false;  // Listed in relevant_list_.
     int atom = -1;  // Theory atom id; -1 for aux vars and boolean variables.
     int level = 0;
     int reason = kCRefUndef;
+    int assump_index = -1;  // First index in assump_lits_ on this variable.
     double activity = 0.0;
-    int64_t relevant_mark = 0;
   };
 
   static Lit MkLit(int var, bool neg) { return var * 2 + (neg ? 1 : 0); }
@@ -549,16 +570,39 @@ class Solver::Cdcl {
   void MarkRelevant(ExprRef root) {
     for (int v : ClosureVars(root)) {
       VarData& vd = vars_[static_cast<size_t>(v)];
-      if (vd.relevant_mark != relevancy_stamp_) {
-        vd.relevant_mark = relevancy_stamp_;
+      if (!vd.relevant) {
+        vd.relevant = true;
         relevant_list_.push_back(v);
       }
     }
   }
 
-  // Adds a permanent clause. Must run at decision level 0 (encoding time,
-  // scope teardown, or right after a backjump to the root), because level-0
-  // truth values are used to simplify the clause.
+  // Drops the assumptions from index `keep` on, with their relevancy marks
+  // (and those of the temporary clauses, which follow the assumptions).
+  void TruncateAssumptions(size_t keep) {
+    for (size_t i = keep; i < assump_lits_.size(); ++i) {
+      int& index = vars_[static_cast<size_t>(VarOf(assump_lits_[i]))].assump_index;
+      if (index == static_cast<int>(i)) {
+        index = -1;
+      }
+    }
+    assump_lits_.resize(keep);
+    assump_terms_.resize(keep);
+    const size_t relevant_end = keep == 0 ? 0 : relevant_ends_[keep - 1];
+    for (size_t j = relevant_end; j < relevant_list_.size(); ++j) {
+      vars_[static_cast<size_t>(relevant_list_[j])].relevant = false;
+    }
+    relevant_list_.resize(relevant_end);
+    relevant_ends_.resize(keep);
+  }
+
+  int LevelOf(Lit l) const { return vars_[static_cast<size_t>(VarOf(l))].level; }
+
+  // Adds a permanent clause, simplified against level-0 facts only. The
+  // trail may be non-empty (a kept warm prefix): the watches go to the two
+  // literals falsified last, and a clause that is unit or conflicting on
+  // the trail backtracks to the level where it becomes so and, when one
+  // literal is left, propagates it there. A unit clause is a level-0 fact.
   void AddClauseLits(std::vector<Lit> lits) {
     if (!ok_) {
       return;
@@ -570,11 +614,11 @@ class Solver::Cdcl {
       if (i + 1 < lits.size() && VarOf(lits[i]) == VarOf(lits[i + 1])) {
         return;  // l and ¬l adjacent after sorting: tautology.
       }
-      LB v = LitValue(lits[i]);
-      if (v == LB::kTrue) {
-        return;  // Already satisfied at level 0.
-      }
-      if (v == LB::kFalse) {
+      const LB v = LitValue(lits[i]);
+      if (v != LB::kUndef && LevelOf(lits[i]) == 0) {
+        if (v == LB::kTrue) {
+          return;  // Already satisfied at level 0.
+        }
         continue;  // Falsified at level 0: drop the literal.
       }
       lits[out++] = lits[i];
@@ -585,10 +629,37 @@ class Solver::Cdcl {
       return;
     }
     if (lits.size() == 1) {
+      CancelUntil(0);
       UncheckedEnqueue(lits[0], kCRefUndef);
       return;
     }
-    AttachClause(std::move(lits));
+    // A falsified literal ranks by its level; an unfalsified one above all.
+    auto rank = [this](Lit l) {
+      return LitValue(l) == LB::kFalse ? LevelOf(l) : std::numeric_limits<int>::max();
+    };
+    for (size_t w = 0; w < 2; ++w) {
+      for (size_t i = w + 1; i < lits.size(); ++i) {
+        if (rank(lits[i]) > rank(lits[w])) {
+          std::swap(lits[i], lits[w]);
+        }
+      }
+    }
+    const Lit first = lits[0];
+    const Lit second = lits[1];
+    const int cr = AttachClause(std::move(lits));
+    if (LitValue(second) != LB::kFalse) {
+      return;
+    }
+    const int level = LevelOf(second);
+    if (LitValue(first) == LB::kTrue && LevelOf(first) <= level) {
+      return;  // Satisfied before it could become unit.
+    }
+    if (LitValue(first) == LB::kFalse && LevelOf(first) == level) {
+      CancelUntil(level - 1);  // Conflicting at one level: unassign both watches.
+      return;
+    }
+    CancelUntil(level);
+    UncheckedEnqueue(first, cr);
   }
 
   int AttachClause(std::vector<Lit> lits) {
@@ -791,18 +862,22 @@ class Solver::Cdcl {
       int reason = vars_[static_cast<size_t>(v)].reason;
       if (reason == kCRefUndef) {
         // A decision below the search levels is an assumption.
-        auto it = assump_index_of_var_.find(v);
-        if (it != assump_index_of_var_.end()) {
-          ExprRef t = assump_terms_[static_cast<size_t>(it->second)];
+        const int index = vars_[static_cast<size_t>(v)].assump_index;
+        if (index >= 0) {
+          ExprRef t = assump_terms_[static_cast<size_t>(index)];
           if (t != nullptr &&
               std::find(out_core->begin(), out_core->end(), t) == out_core->end()) {
             out_core->push_back(t);
           }
         }
       } else {
+        // Skip the implied literal itself: marking it again would leave a
+        // stale seen_ flag behind the walk, and Analyze would then drop
+        // that variable from a later learned clause.
         for (Lit l : clauses_[static_cast<size_t>(reason)]) {
-          if (vars_[static_cast<size_t>(VarOf(l))].level > 0) {
-            seen_[static_cast<size_t>(VarOf(l))] = 1;
+          const int u = VarOf(l);
+          if (u != v && vars_[static_cast<size_t>(u)].level > 0) {
+            seen_[static_cast<size_t>(u)] = 1;
           }
         }
       }
@@ -918,8 +993,10 @@ class Solver::Cdcl {
   size_t qhead_ = 0;
   std::vector<uint8_t> seen_;  // Scratch for Analyze/AnalyzeFinal, per var.
   double var_inc_ = 1.0;
-  int64_t relevancy_stamp_ = 0;
+  // Relevant variables in marking order: assumption i's closure adds the
+  // entries up to relevant_ends_[i], the temporary clauses' the rest.
   std::vector<int> relevant_list_;
+  std::vector<size_t> relevant_ends_;
   std::unordered_map<ExprRef, Lit> enc_cache_;
   Theory theory_;
   std::vector<int> atom_var_;  // Theory atom id → variable.
@@ -928,9 +1005,10 @@ class Solver::Cdcl {
   size_t theory_head_ = 0;
   std::vector<std::pair<size_t, size_t>> theory_marks_;
   std::unordered_map<ExprRef, std::vector<int>> closure_cache_;
-  std::vector<Lit> assump_lits_;       // This query's assumption literals.
+  // The current query's assumptions; assumption i sits on trail level i+1
+  // while that level exists.
+  std::vector<Lit> assump_lits_;
   std::vector<ExprRef> assump_terms_;  // Parallel; null = scope selector.
-  std::unordered_map<int, int> assump_index_of_var_;
 };
 
 // ---------------------------------------------------------------------------
@@ -1033,6 +1111,9 @@ SolveResult Solver::SolveAssuming(bool want_model) {
   static obs::Counter* theory_core_literals =
       reg.GetCounter("icarus_solver_theory_core_literals_total",
                      "Literals across the cores of theory conflicts");
+  static obs::Counter* assumptions_placed =
+      reg.GetCounter("icarus_solver_assumptions_placed_total",
+                     "Assumption levels placed on the trail (a kept prefix is not re-placed)");
   static obs::Counter* exhausted = reg.GetCounter("icarus_solver_budget_exhausted_total",
                                                   "Queries degraded to UNKNOWN by a budget");
   static obs::Counter* cache_hits =
@@ -1059,6 +1140,7 @@ SolveResult Solver::SolveAssuming(bool want_model) {
   restarts->Add(stats_.restarts - before.restarts);
   theory_checks->Add(stats_.theory_checks - before.theory_checks);
   theory_core_literals->Add(stats_.theory_core_literals - before.theory_core_literals);
+  assumptions_placed->Add(stats_.assumptions_placed - before.assumptions_placed);
   exhausted->Add(stats_.budget_exhausted - before.budget_exhausted);
   cache_hits->Add(stats_.cache_hits - before.cache_hits);
   cache_negative->Add(stats_.cache_negative_hits - before.cache_negative_hits);
@@ -1078,13 +1160,13 @@ SolveResult Solver::SolveAssuming(bool want_model) {
 }
 
 SolveResult Solver::SolveImpl(bool want_model) {
+  std::vector<ExprRef> conjuncts = FlattenAssumptions();
   // The cache key is the flattened assumption set; active temporary clauses
   // are not part of the key, so queries made while any scope holds a temp
   // clause bypass the cache entirely (in both directions).
   if (cache_ == nullptr || HasTempClauses()) {
-    return SolveCore(want_model);
+    return SolveCore(conjuncts, want_model);
   }
-  std::vector<ExprRef> conjuncts = FlattenAssumptions();
   QueryKey key = FingerprintQuery(conjuncts);
   // A kSat entry stored without a model cannot serve a model-needing caller,
   // and a kUnknown entry produced under a strictly smaller budget cannot
@@ -1109,12 +1191,12 @@ SolveResult Solver::SolveImpl(bool want_model) {
     if (entry->verdict == Verdict::kUnsat) {
       // Cached entries carry no core; the full assumption set is the sound
       // over-approximation of the final conflict.
-      final_conflict_ = conjuncts;
+      final_conflict_ = std::move(conjuncts);
     }
     return cached;
   }
   ++stats_.cache_misses;
-  SolveResult result = SolveCore(want_model);
+  SolveResult result = SolveCore(conjuncts, want_model);
   SolverCache::Entry fresh;
   fresh.verdict = result.verdict;
   if (result.verdict == Verdict::kSat && want_model) {
@@ -1137,13 +1219,12 @@ SolveResult Solver::SolveImpl(bool want_model) {
   return result;
 }
 
-SolveResult Solver::SolveCore(bool want_model) {
+SolveResult Solver::SolveCore(const std::vector<ExprRef>& conjuncts, bool want_model) {
   // One failpoint hit per searched (cache-missed) query, in addition to the
   // per-decision hits inside the engines, so fault-injection tests observe
   // query-grained activity even when learned clauses answer with few or no
   // decisions. Cache hits do not fire.
   ICARUS_FAILPOINT(failpoint::kSolverDecision);
-  std::vector<ExprRef> conjuncts = FlattenAssumptions();
   final_conflict_.clear();
   if (!options_.clause_learning) {
     std::vector<std::vector<ExprRef>> clauses;

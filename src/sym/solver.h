@@ -104,6 +104,7 @@ struct SolverStats {
   int64_t theory_checks = 0;     // Full-assignment theory checks.
   int64_t theory_conflicts = 0;  // Theory checks that produced a lemma.
   int64_t theory_core_literals = 0;  // Literals across all theory-lemma cores.
+  int64_t assumptions_placed = 0;    // Assumption levels placed (warm prefix kept).
   int64_t queries = 0;
   int64_t cache_hits = 0;           // Queries answered by a kSat/kUnsat entry.
   int64_t cache_negative_hits = 0;  // Queries answered by a kUnknown entry.
@@ -231,8 +232,9 @@ class Solver {
 
   // SolveAssuming minus the observability wrapper (cache consult + search).
   SolveResult SolveImpl(bool want_model);
-  // Cache-independent search over the current assumption stack.
-  SolveResult SolveCore(bool want_model);
+  // Cache-independent search over `conjuncts` (the flattened assumption
+  // stack) under the open scopes' temporary clauses.
+  SolveResult SolveCore(const std::vector<ExprRef>& conjuncts, bool want_model);
   // The retained pre-CDCL engine: atom-level DPLL over `conjuncts` plus
   // scope-local temp clauses, fresh per call, no learning.
   SolveResult SolveDecideOnly(const std::vector<ExprRef>& conjuncts,

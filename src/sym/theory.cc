@@ -55,6 +55,313 @@ void NextStamp(uint32_t* stamp, std::initializer_list<std::vector<uint32_t>*> ma
   }
 }
 
+// A difference constraint between model classes: value(to) - value(from) <= w.
+struct ClassEdge {
+  int from;
+  int to;
+  int64_t w;
+};
+
+// Shortest distances from a virtual source to `nodes` nodes; false when a
+// negative cycle keeps them from settling.
+bool ShortestDistances(const std::vector<ClassEdge>& edges, size_t nodes,
+                       std::vector<int64_t>* dist) {
+  dist->assign(nodes, 0);
+  for (size_t round = 0; round <= nodes; ++round) {
+    bool changed = false;
+    for (const ClassEdge& e : edges) {
+      const int64_t d = SatAdd((*dist)[static_cast<size_t>(e.from)], e.w);
+      if (d < (*dist)[static_cast<size_t>(e.to)]) {
+        (*dist)[static_cast<size_t>(e.to)] = d;
+        changed = true;
+      }
+    }
+    if (!changed) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// An application of a model: its symbol, its argument classes, and its
+// result class (or, for a predicate, result < 0 and its truth).
+struct ModelApp {
+  int fn = -1;
+  int result = -1;
+  int64_t truth = 0;
+  std::vector<int> args;
+};
+
+// Mends a draft of integer class values (Theory::BuildModel) so that
+// disequal classes differ and applications of one symbol with different
+// results have arguments that differ. The first remedy moves one class
+// together with every class tied to it at a fixed offset (x and x + 1,
+// i < j <= i + 1, a constant and ZERO, which never moves) to the nearest
+// offset that keeps intervals, disequalities and difference constraints.
+// When no such offset exists, the second orders the pair (a < b or b < a)
+// and re-solves the difference constraints with the class intervals
+// added. Best effort: both searches are bounded. Node n (one past the last
+// class) is ZERO.
+class ModelRepair {
+ public:
+  ModelRepair(std::vector<int64_t>* chosen, std::vector<int64_t> lo, std::vector<int64_t> hi,
+              std::vector<std::vector<int>> diseq, std::vector<ClassEdge> edges,
+              std::vector<uint8_t> pinned, std::vector<ModelApp> apps,
+              std::vector<std::pair<int, int>> distinct)
+      : chosen_(*chosen),
+        n_(chosen->size()),
+        zero_(static_cast<int>(chosen->size())),
+        lo_(std::move(lo)),
+        hi_(std::move(hi)),
+        diseq_(std::move(diseq)),
+        edges_(std::move(edges)),
+        pinned_(std::move(pinned)),
+        apps_(std::move(apps)),
+        distinct_(std::move(distinct)) {
+    std::stable_sort(apps_.begin(), apps_.end(),
+                     [](const ModelApp& a, const ModelApp& b) { return a.fn < b.fn; });
+  }
+
+  void Run() {
+    Regroup();
+    const size_t rounds = 8 + 4 * (distinct_.size() + apps_.size());
+    for (size_t round = 0; round < rounds; ++round) {
+      bool moved = false;
+      for (const auto& [a, b] : distinct_) {
+        if (a != b && Value(a) == Value(b) && Separate(a, b, [](int64_t) { return false; })) {
+          moved = true;
+        }
+      }
+      for (size_t i = 0; i < apps_.size(); ++i) {
+        for (size_t j = i + 1; j < apps_.size() && apps_[j].fn == apps_[i].fn; ++j) {
+          moved |= SeparateApps(apps_[i], apps_[j]);
+        }
+      }
+      if (!moved) {
+        return;
+      }
+    }
+  }
+
+ private:
+  int64_t Value(int c) const { return c == zero_ ? 0 : chosen_[static_cast<size_t>(c)]; }
+  int64_t ResultOf(const ModelApp& app) const {
+    return app.result < 0 ? app.truth : Value(app.result);
+  }
+
+  // Separates two applications whose results differ but whose argument
+  // values agree, at the first position whose classes differ, moving an
+  // argument to a value no other application of the symbol has there.
+  bool SeparateApps(const ModelApp& t, const ModelApp& u) {
+    if (t.args.size() != u.args.size() || (t.result >= 0 && t.result == u.result) ||
+        ResultOf(t) == ResultOf(u)) {
+      return false;
+    }
+    for (size_t i = 0; i < t.args.size(); ++i) {
+      if (Value(t.args[i]) != Value(u.args[i])) {
+        return false;
+      }
+    }
+    for (size_t i = 0; i < t.args.size(); ++i) {
+      const int a = t.args[i];
+      const int b = u.args[i];
+      if (a == b) {
+        continue;
+      }
+      auto taken = [&](int64_t v) {
+        for (const ModelApp& other : apps_) {
+          if (other.fn == t.fn && other.args.size() == t.args.size() && other.args[i] != a &&
+              other.args[i] != b && Value(other.args[i]) == v) {
+            return true;
+          }
+        }
+        return false;
+      };
+      if (Separate(a, b, taken)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Gives a and b different values: shifts b's group, then a's, to a value
+  // `avoid` accepts, or else orders the pair.
+  template <typename Avoid>
+  bool Separate(int a, int b, const Avoid& avoid) {
+    return Shift(b, avoid) || Shift(a, avoid) || Order(a, b) || Order(b, a);
+  }
+
+  // Groups: classes on a zero-weight cycle of difference constraints keep
+  // fixed offsets in every model. Each edge of such a cycle is tight under
+  // any solution, so the groups are the strongly connected components of
+  // the tight edges (Kosaraju: finish order forward, components backward).
+  void Regroup() {
+    std::vector<std::vector<int>> fwd(n_ + 1);
+    std::vector<std::vector<int>> rev(n_ + 1);
+    for (const ClassEdge& e : edges_) {
+      if (SatAdd(Value(e.from), e.w) == Value(e.to)) {
+        fwd[static_cast<size_t>(e.from)].push_back(e.to);
+        rev[static_cast<size_t>(e.to)].push_back(e.from);
+      }
+    }
+    std::vector<int> order;
+    std::vector<uint8_t> visited(n_ + 1, 0);
+    std::vector<std::pair<int, size_t>> stack;
+    for (size_t root = 0; root <= n_; ++root) {
+      if (visited[root] != 0) {
+        continue;
+      }
+      visited[root] = 1;
+      stack.emplace_back(static_cast<int>(root), 0);
+      while (!stack.empty()) {
+        const auto u = static_cast<size_t>(stack.back().first);
+        const size_t next = stack.back().second++;
+        if (next == fwd[u].size()) {
+          order.push_back(static_cast<int>(u));
+          stack.pop_back();
+          continue;
+        }
+        const int v = fwd[u][next];
+        if (visited[static_cast<size_t>(v)] == 0) {
+          visited[static_cast<size_t>(v)] = 1;
+          stack.emplace_back(v, 0);
+        }
+      }
+    }
+    group_.assign(n_ + 1, -1);
+    members_.assign(n_ + 1, {});
+    movable_.assign(n_ + 1, 1);
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      if (group_[static_cast<size_t>(*it)] >= 0) {
+        continue;
+      }
+      std::vector<int> work = {*it};
+      group_[static_cast<size_t>(*it)] = *it;
+      while (!work.empty()) {
+        const int u = work.back();
+        work.pop_back();
+        for (int v : rev[static_cast<size_t>(u)]) {
+          if (group_[static_cast<size_t>(v)] < 0) {
+            group_[static_cast<size_t>(v)] = *it;
+            work.push_back(v);
+          }
+        }
+      }
+    }
+    movable_[static_cast<size_t>(group_[static_cast<size_t>(zero_)])] = 0;
+    for (size_t c = 0; c < n_; ++c) {
+      const auto g = static_cast<size_t>(group_[c]);
+      members_[g].push_back(static_cast<int>(c));
+      if (pinned_[c] != 0) {
+        movable_[g] = 0;
+      }
+    }
+  }
+
+  bool CanShift(int g, int64_t delta) const {
+    for (int m : members_[static_cast<size_t>(g)]) {
+      const auto mc = static_cast<size_t>(m);
+      const int64_t v = SatAdd(chosen_[mc], delta);
+      if (v < lo_[mc] || v > hi_[mc]) {
+        return false;
+      }
+      for (int other : diseq_[mc]) {
+        if (group_[static_cast<size_t>(other)] != g && Value(other) == v) {
+          return false;
+        }
+      }
+    }
+    for (const ClassEdge& e : edges_) {
+      const bool from_in = group_[static_cast<size_t>(e.from)] == g;
+      const bool to_in = group_[static_cast<size_t>(e.to)] == g;
+      if (from_in != to_in &&
+          SatAdd(Value(e.to), to_in ? delta : 0) >
+              SatAdd(SatAdd(Value(e.from), from_in ? delta : 0), e.w)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Shifts c's group to the nearest offset at which c takes a value `avoid`
+  // accepts and every constraint still holds.
+  template <typename Avoid>
+  bool Shift(int c, const Avoid& avoid) {
+    const int g = group_[static_cast<size_t>(c)];
+    if (movable_[static_cast<size_t>(g)] == 0) {
+      return false;
+    }
+    const auto tries = static_cast<int64_t>(8 + 2 * (apps_.size() + distinct_.size()));
+    for (int64_t k = 1; k <= tries; ++k) {
+      for (int64_t delta : {k, Neg(k)}) {
+        if (!avoid(SatAdd(Value(c), delta)) && CanShift(g, delta)) {
+          for (int m : members_[static_cast<size_t>(g)]) {
+            chosen_[static_cast<size_t>(m)] = SatAdd(chosen_[static_cast<size_t>(m)], delta);
+          }
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  // Adds a < b to the difference constraints (with every integer class's
+  // interval) and re-solves them; false, changing nothing, if infeasible.
+  bool Order(int a, int b) {
+    if (pinned_[static_cast<size_t>(a)] != 0 || pinned_[static_cast<size_t>(b)] != 0) {
+      return false;
+    }
+    std::vector<ClassEdge> trial = edges_;
+    if (!bounded_) {
+      for (size_t c = 0; c < n_; ++c) {
+        if (pinned_[c] != 0) {
+          continue;
+        }
+        if (hi_[c] < kIntMax) {
+          trial.push_back({zero_, static_cast<int>(c), hi_[c]});
+        }
+        if (lo_[c] > kIntMin) {
+          trial.push_back({static_cast<int>(c), zero_, Neg(lo_[c])});
+        }
+      }
+    }
+    trial.push_back({b, a, -1});
+    std::vector<int64_t> dist;
+    if (!ShortestDistances(trial, n_ + 1, &dist)) {
+      return false;
+    }
+    std::vector<uint8_t> in_graph(n_ + 1, 0);
+    for (const ClassEdge& e : trial) {
+      in_graph[static_cast<size_t>(e.from)] = 1;
+      in_graph[static_cast<size_t>(e.to)] = 1;
+    }
+    for (size_t c = 0; c < n_; ++c) {
+      if (in_graph[c] != 0) {
+        chosen_[c] = dist[c] - dist[n_];
+      }
+    }
+    edges_ = std::move(trial);
+    bounded_ = true;
+    Regroup();
+    return true;
+  }
+
+  std::vector<int64_t>& chosen_;
+  const size_t n_;
+  const int zero_;
+  const std::vector<int64_t> lo_;
+  const std::vector<int64_t> hi_;
+  const std::vector<std::vector<int>> diseq_;
+  std::vector<ClassEdge> edges_;
+  const std::vector<uint8_t> pinned_;
+  std::vector<ModelApp> apps_;
+  const std::vector<std::pair<int, int>> distinct_;
+  bool bounded_ = false;  // edges_ holds the class intervals.
+  std::vector<int> group_;
+  std::vector<std::vector<int>> members_;
+  std::vector<uint8_t> movable_;
+};
+
 }  // namespace
 
 Theory::Theory() {
@@ -1164,11 +1471,6 @@ void Theory::BuildModel(Model* model) {
   // Difference constraints between classes (node n is ZERO). Shortest
   // distances from a virtual source satisfy every one of them, strict
   // chains included, so they are the preferred witness.
-  struct ClassEdge {
-    int from;
-    int to;
-    int64_t w;
-  };
   std::vector<ClassEdge> edges;
   std::vector<uint8_t> in_graph(n + 1, 0);
   auto constrain = [&](int x, int y, int64_t w) {  // x - y <= w
@@ -1230,12 +1532,26 @@ void Theory::BuildModel(Model* model) {
   }
   std::vector<int64_t> chosen(n, 0);
   std::vector<uint8_t> is_chosen(n, 0);
+  std::vector<int64_t> class_lo(n, kIntMin);
+  std::vector<int64_t> class_hi(n, kIntMax);
   int64_t next_individual = 0;
+  auto collides = [&](size_t c, int64_t cand) {
+    for (int other : diseq[c]) {
+      if (is_chosen[static_cast<size_t>(other)] != 0 &&
+          chosen[static_cast<size_t>(other)] == cand) {
+        return true;
+      }
+    }
+    return false;
+  };
   for (size_t c = 0; c < n; ++c) {
     const auto r = static_cast<size_t>(roots[c]);
-    const bool have_iv = iv_stamp_[r] == iv_epoch_;
-    const int64_t lo = have_iv ? lo_[r] : kIntMin;
-    const int64_t hi = have_iv ? hi_[r] : kIntMax;
+    if (iv_stamp_[r] == iv_epoch_) {
+      class_lo[c] = lo_[r];
+      class_hi[c] = hi_[r];
+    }
+    const int64_t lo = class_lo[c];
+    const int64_t hi = class_hi[c];
     int64_t v;
     if (terms_[static_cast<size_t>(classes[c].front())].node->sort == Sort::kTerm) {
       // Uninterpreted individuals: one distinct id per class. Distinct
@@ -1250,24 +1566,68 @@ void Theory::BuildModel(Model* model) {
       // Prefer small non-negative witnesses; keep bumping past neighbours
       // that must be distinct.
       v = std::max(lo, std::min<int64_t>(0, hi));
-      auto collides = [&](int64_t cand) {
-        for (int other : diseq[c]) {
-          if (is_chosen[static_cast<size_t>(other)] != 0 &&
-              chosen[static_cast<size_t>(other)] == cand) {
-            return true;
-          }
-        }
-        return false;
-      };
-      while (collides(v) && v < hi) {
+      while (collides(c, v) && v < hi) {
         ++v;
       }
-      while (collides(v) && v > lo) {
+      while (collides(c, v) && v > lo) {
         --v;
       }
     }
     chosen[c] = v;
     is_chosen[c] = 1;
+  }
+  // Repair what the values above can break: a potential ignores
+  // disequalities, and independently valued classes can give applications
+  // of one symbol equal arguments but different results (g(x) != g(y) would
+  // get x = y = 0), which is not a function and does not replay. Classes
+  // under arithmetic other than `x +/- c` keep their values, as do the
+  // classes of other sorts.
+  std::vector<uint8_t> pinned(n, 0);
+  std::vector<ModelApp> apps;
+  for (int t : active_list_) {
+    const Term& term = terms_[static_cast<size_t>(t)];
+    if (term.fn < 0) {
+      continue;
+    }
+    ExprRef node = term.node;
+    if (node->kind == Kind::kApp) {
+      ModelApp app;
+      app.fn = term.fn;
+      if (node->sort == Sort::kBool) {
+        if (term.atom < 0) {
+          continue;
+        }
+        app.truth = atoms_[static_cast<size_t>(term.atom)].truth ? 1 : 0;
+      } else {
+        app.result = cls(t);
+      }
+      for (int i = 0; i < term.num_args; ++i) {
+        app.args.push_back(cls(Arg(t, i)));
+      }
+      apps.push_back(std::move(app));
+    } else if (!((node->kind == Kind::kAdd || node->kind == Kind::kSub) &&
+                 node->args[1]->kind == Kind::kConstInt)) {
+      pinned[static_cast<size_t>(cls(t))] = 1;
+      for (int i = 0; i < term.num_args; ++i) {
+        pinned[static_cast<size_t>(cls(Arg(t, i)))] = 1;
+      }
+    }
+  }
+  for (size_t c = 0; c < n; ++c) {
+    if (terms_[static_cast<size_t>(classes[c].front())].node->sort != Sort::kInt) {
+      pinned[c] = 1;
+    }
+  }
+  std::vector<std::pair<int, int>> distinct;
+  for (int atom : diseq_atoms_) {
+    const Atom& at = atoms_[static_cast<size_t>(atom)];
+    distinct.emplace_back(cls(at.a), cls(at.b));
+  }
+  ModelRepair(&chosen, std::move(class_lo), std::move(class_hi), std::move(diseq),
+              std::move(edges), std::move(pinned), std::move(apps), std::move(distinct))
+      .Run();
+  for (size_t c = 0; c < n; ++c) {
+    const int64_t v = chosen[c];
     model->terms.emplace_back(terms_[static_cast<size_t>(classes[c].front())].node, v);
     // Every named variable in the class gets a witness entry — not just the
     // representative — so counterexample reports can show a concrete value

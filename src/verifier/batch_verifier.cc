@@ -137,11 +137,11 @@ std::string BatchReport::RenderExplain() const {
 
 std::string BatchReport::RenderStatsTable() const {
   std::string out =
-      StrFormat("%-44s %-15s %9s %8s %8s %9s %9s %10s %8s %9s %8s %8s %8s %6s %-9s\n",
+      StrFormat("%-44s %-15s %9s %8s %8s %9s %9s %10s %8s %9s %8s %8s %8s %6s %8s %-9s\n",
                 "Generator", "Outcome", "Total(s)", "CFA(s)", "Gen(s)", "Interp(s)", "Solve(s)",
                 "Decisions", "Queries", "Props", "Learned", "Restarts", "TChecks", "Core",
-                "Dominant");
-  const size_t rule_width = 184;
+                "Placed", "Dominant");
+  const size_t rule_width = 193;
   // Theory columns: full-assignment checks and the mean conflict-core size.
   // Journal rows restored by --resume carry neither and show "-".
   auto theory_cells = [](bool known, long long checks, long long conflicts,
@@ -168,6 +168,7 @@ std::string BatchReport::RenderStatsTable() const {
   long long sum_theory_checks = 0;
   long long sum_theory_conflicts = 0;
   long long sum_core_literals = 0;
+  long long sum_placed = 0;
   std::vector<double> row_seconds;
   for (const GeneratorResult& r : results) {
     if (r.outcome == Outcome::kError || r.outcome == Outcome::kInternalError) {
@@ -193,19 +194,24 @@ std::string BatchReport::RenderStatsTable() const {
     const auto [tchecks, core] = theory_cells(!r.resumed, m.solver_theory_checks,
                                               m.solver_theory_conflicts,
                                               m.solver_theory_core_literals);
+    // Assumption levels placed: like the theory columns, not journaled.
+    const std::string placed =
+        r.resumed ? "-" : StrFormat("%lld", static_cast<long long>(m.solver_assumptions_placed));
     out += StrFormat(
         "%-44s %-15s %9.4f %8.4f %8.4f %9.4f %9.4f %10lld %8lld %9lld %8lld %8lld %8s %6s "
-        "%-9s\n",
+        "%8s %-9s\n",
         r.generator.c_str(), OutcomeName(r.outcome), r.seconds, cfa, gen, interp,
         solve, static_cast<long long>(m.solver_decisions),
         static_cast<long long>(m.solver_queries),
         static_cast<long long>(m.solver_propagations),
         static_cast<long long>(m.solver_learned_clauses),
-        static_cast<long long>(m.solver_restarts), tchecks.c_str(), core.c_str(), dominant);
+        static_cast<long long>(m.solver_restarts), tchecks.c_str(), core.c_str(),
+        placed.c_str(), dominant);
     if (!r.resumed) {
       sum_theory_checks += m.solver_theory_checks;
       sum_theory_conflicts += m.solver_theory_conflicts;
       sum_core_literals += m.solver_theory_core_literals;
+      sum_placed += m.solver_assumptions_placed;
     }
     sum_cfa += cfa;
     sum_gen += gen;
@@ -226,10 +232,10 @@ std::string BatchReport::RenderStatsTable() const {
   const auto [total_tchecks, total_core] =
       theory_cells(true, sum_theory_checks, sum_theory_conflicts, sum_core_literals);
   out += StrFormat(
-      "%-44s %-15s %9.4f %8.4f %8.4f %9.4f %9.4f %10lld %8lld %9lld %8lld %8lld %8s %6s\n",
+      "%-44s %-15s %9.4f %8.4f %8.4f %9.4f %9.4f %10lld %8lld %9lld %8lld %8lld %8s %6s %8lld\n",
       "TOTAL", "", sum_total, sum_cfa, sum_gen, sum_interp, sum_solve, sum_decisions,
       sum_queries, sum_propagations, sum_learned, sum_restarts, total_tchecks.c_str(),
-      total_core.c_str());
+      total_core.c_str(), sum_placed);
   SampleStats stats = ComputeStats(row_seconds);
   out += StrFormat("per-generator seconds: p50 %.4f, p90 %.4f, p99 %.4f (n=%d)\n", stats.p50,
                    stats.p90, stats.p99, static_cast<int>(row_seconds.size()));

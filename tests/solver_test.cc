@@ -218,6 +218,39 @@ TEST_F(SolverTest, TempClausesDieWithTheirScope) {
   EXPECT_EQ(solver.Solve({pool_.Not(p), pool_.Not(q)}).verdict, Verdict::kSat);
 }
 
+TEST_F(SolverTest, TempClausesAddedOnAWarmTrailTakeEffect) {
+  // A persistent solver leaves the trail of its last query in place, so a
+  // temporary clause added to an open scope between two queries can be
+  // falsified on arrival: over two assumption levels (p, q assumed apart)
+  // or within one (both propagated from p ∧ q). Repeating the query keeps
+  // those levels, and must still see the clause.
+  ExprRef p = pool_.Var("p", Sort::kBool);
+  ExprRef q = pool_.Var("q", Sort::kBool);
+  ExprRef r = pool_.Var("r", Sort::kBool);
+  for (const std::vector<ExprRef>& query :
+       {std::vector<ExprRef>{p, q}, std::vector<ExprRef>{pool_.And(p, q)}}) {
+    Solver solver;
+    solver.Push();
+    solver.AddTempClause({r});  // Gives the scope its selector.
+    solver.Push();
+    for (ExprRef c : query) {
+      solver.Assume(c);
+    }
+    EXPECT_EQ(solver.SolveAssuming().verdict, Verdict::kSat);
+    solver.Pop();
+    solver.AddTempClause({pool_.Not(p), pool_.Not(q)});
+    solver.Push();
+    for (ExprRef c : query) {
+      solver.Assume(c);
+    }
+    EXPECT_EQ(solver.SolveAssuming().verdict, Verdict::kUnsat);
+    EXPECT_EQ(solver.final_conflict().size(), query.size());
+    solver.Pop();
+    solver.Pop();
+    EXPECT_EQ(solver.Solve(query).verdict, Verdict::kSat);
+  }
+}
+
 TEST_F(SolverTest, LearnedClausesPersistAcrossQueriesSoundly) {
   // A persistent solver answers repeated and *sibling* queries after learning
   // from earlier ones; every verdict must match a fresh solver's. This is the
@@ -580,7 +613,10 @@ ExprRef Iterate(ExprPool* pool, ExprRef t, int n) {
 
 class KnownVerdictChainTest : public ::testing::TestWithParam<int> {
  protected:
-  void Expect(const std::vector<ExprRef>& conjuncts, Verdict want) {
+  // `apps` are unary applications of one symbol whose values must form a
+  // function in every SAT model: equal arguments, equal values.
+  void Expect(const std::vector<ExprRef>& conjuncts, Verdict want,
+              const std::vector<ExprRef>& apps = {}) {
     Solver::Options no_learn;
     no_learn.clause_learning = false;
     Solver decide_only(Solver::Limits{}, no_learn);
@@ -602,6 +638,21 @@ class KnownVerdictChainTest : public ::testing::TestWithParam<int> {
           if (EvalTerm(r.model, ta->args[0], &a) && EvalTerm(r.model, tb->args[0], &b) &&
               a == b && EvalTerm(r.model, ta, &fa) && EvalTerm(r.model, tb, &fb)) {
             EXPECT_EQ(fa, fb) << "f is not functional at depth " << i;
+          }
+        }
+        for (size_t i = 0; i < apps.size(); ++i) {
+          for (size_t j = i + 1; j < apps.size(); ++j) {
+            int64_t a = 0;
+            int64_t b = 0;
+            int64_t fa = 0;
+            int64_t fb = 0;
+            ASSERT_TRUE(EvalTerm(r.model, apps[i]->args[0], &a));
+            ASSERT_TRUE(EvalTerm(r.model, apps[j]->args[0], &b));
+            ASSERT_TRUE(EvalTerm(r.model, apps[i], &fa));
+            ASSERT_TRUE(EvalTerm(r.model, apps[j], &fb));
+            EXPECT_TRUE(a != b || fa == fb)
+                << ExprPool::ToString(apps[i]) << " = " << fa << " and "
+                << ExprPool::ToString(apps[j]) << " = " << fb << " at argument " << a;
           }
         }
       }
@@ -640,8 +691,272 @@ TEST_P(KnownVerdictChainTest, DifferenceAndCongruenceChains) {
   Expect({differ}, Verdict::kSat);
 }
 
+TEST_P(KnownVerdictChainTest, DistinctApplicationsGetDistinctIntegerArguments) {
+  // g(x) != g(y) over integers: congruence keeps x and y in distinct
+  // classes, and a model that still values both 0 is not a function — its
+  // witness does not replay. Then all n+1 applications pairwise distinct
+  // with arguments in [0, n]: exactly enough room for distinct arguments.
+  ExprRef x = pool_.Var("x", Sort::kInt);
+  ExprRef y = pool_.Var("y", Sort::kInt);
+  ExprRef gx = pool_.App("g", {x}, Sort::kInt);
+  ExprRef gy = pool_.App("g", {y}, Sort::kInt);
+  Expect({pool_.Ne(gx, gy)}, Verdict::kSat, {gx, gy});
+  const int n = GetParam();
+  std::vector<ExprRef> apps;
+  std::vector<ExprRef> conjuncts;
+  for (int i = 0; i <= n; ++i) {
+    ExprRef v = pool_.Var("u" + std::to_string(i), Sort::kInt);
+    apps.push_back(pool_.App("g", {v}, Sort::kInt));
+    conjuncts.push_back(pool_.Le(pool_.IntConst(0), v));
+    conjuncts.push_back(pool_.Le(v, pool_.IntConst(n)));
+  }
+  for (size_t i = 0; i < apps.size(); ++i) {
+    for (size_t j = i + 1; j < apps.size(); ++j) {
+      conjuncts.push_back(pool_.Ne(apps[i], apps[j]));
+    }
+  }
+  Expect(conjuncts, Verdict::kSat, apps);
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, KnownVerdictChainTest,
                          ::testing::Values(1, 2, 8, 16, 32, 48, 64));
+
+// ---------------------------------------------------------------------------
+// Warm prefix. A persistent solver keeps the trail levels of the assumptions
+// a query repeats from the one before (docs/SOLVER.md §"Warm prefix").
+// Streams shaped like a depth-first path exploration (extend by a conjunct,
+// flip the last one, truncate to a random depth) go through warm solvers
+// and, query by query, through a fresh CDCL solver and a fresh decide-only
+// solver. Mixed in: temporary-clause scopes that stay open across queries
+// (their Pop disables a selector that sits on the kept trail), a warm solver
+// with a one-decision budget (kUnknown mid-stream), and atoms that are
+// theory-false on their own (unit lemmas, learned at level 0).
+// ---------------------------------------------------------------------------
+
+// Truth of boolean `e` under the atom assignment of `model`: 1, 0, or -1
+// when it depends on an atom the model leaves unassigned.
+int EvalSkeleton(const Model& model, ExprRef e) {
+  switch (e->kind) {
+    case Kind::kConstBool:
+      return e->value != 0 ? 1 : 0;
+    case Kind::kNot: {
+      const int v = EvalSkeleton(model, e->args[0]);
+      return v < 0 ? -1 : 1 - v;
+    }
+    case Kind::kAnd:
+    case Kind::kOr: {
+      const int absorbing = e->kind == Kind::kAnd ? 0 : 1;
+      const int a = EvalSkeleton(model, e->args[0]);
+      const int b = EvalSkeleton(model, e->args[1]);
+      if (a == absorbing || b == absorbing) {
+        return absorbing;
+      }
+      return a < 0 || b < 0 ? -1 : 1 - absorbing;
+    }
+    default:
+      for (const auto& [atom, truth] : model.atoms) {
+        if (atom == e) {
+          return truth ? 1 : 0;
+        }
+      }
+      return -1;
+  }
+}
+
+// Every atom the model assigns must agree with the concrete values it gives
+// (atoms over a term without a value of its own are skipped).
+void ExpectAtomsAgreeWithValues(const Model& model) {
+  for (const auto& [atom, truth] : model.atoms) {
+    if (atom->kind == Kind::kVar) {
+      int64_t v = 0;
+      if (model.LookupWitness(atom->name, &v)) {
+        EXPECT_EQ(v != 0, truth) << atom->name;
+      }
+      continue;
+    }
+    int64_t a = 0;
+    int64_t b = 0;
+    if (atom->kind == Kind::kApp || !EvalTerm(model, atom->args[0], &a) ||
+        !EvalTerm(model, atom->args[1], &b)) {
+      continue;
+    }
+    const bool holds = atom->kind == Kind::kEq ? a == b : atom->kind == Kind::kLt ? a < b : a <= b;
+    EXPECT_EQ(holds, truth) << ExprPool::ToString(atom) << " with " << a << ", " << b;
+  }
+}
+
+class WarmPrefixStreamTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(WarmPrefixStreamTest, MatchesFreshAndDecideOnlyEngines) {
+  uint64_t state = GetParam() * 0x9E3779B97F4A7C15ULL + 3;
+  auto rnd = [&state](int n) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return static_cast<int>(state % static_cast<uint64_t>(n));
+  };
+  ExprPool pool;
+  std::vector<ExprRef> bools;
+  std::vector<ExprRef> ints;
+  for (int i = 0; i < 3; ++i) {
+    bools.push_back(pool.Var("p" + std::to_string(i), Sort::kBool));
+    ints.push_back(pool.Var("i" + std::to_string(i), Sort::kInt));
+  }
+  auto any_int = [&]() { return ints[static_cast<size_t>(rnd(3))]; };
+  auto atom = [&]() -> ExprRef {
+    switch (rnd(7)) {
+      case 0:
+        return bools[static_cast<size_t>(rnd(3))];
+      case 1:
+        return pool.Lt(any_int(), any_int());
+      case 2:
+        return pool.Eq(any_int(), pool.IntConst(rnd(4)));
+      case 3:
+        return pool.Le(any_int(), pool.Add(any_int(), pool.IntConst(rnd(3))));
+      case 4:
+        return pool.Eq(pool.App("g", {any_int()}, Sort::kInt),
+                       pool.App("g", {any_int()}, Sort::kInt));
+      case 5:
+        return pool.Eq(pool.App("g", {any_int()}, Sort::kInt), any_int());
+      default: {
+        // Theory-false alone: asserting it true learns a unit lemma.
+        ExprRef v = any_int();
+        return pool.Lt(pool.Add(v, pool.IntConst(1 + rnd(2))), v);
+      }
+    }
+  };
+  auto literal = [&]() {
+    ExprRef a = atom();
+    return rnd(2) == 0 ? a : pool.Not(a);
+  };
+  auto conjunct = [&]() {
+    ExprRef c = literal();
+    if (rnd(3) == 0) {
+      c = pool.Or(c, literal());
+    }
+    return c;
+  };
+
+  Solver::Options no_learn;
+  no_learn.clause_learning = false;
+  Solver warm;
+  Solver budgeted(Solver::Limits{/*max_decisions=*/1, /*max_seconds=*/0.0});
+  std::vector<ExprRef> path;
+  // The clauses of the open temporary scope; empty while none is open.
+  std::vector<std::vector<ExprRef>> temp_clauses;
+  int64_t assumptions_asked = 0;
+  int unknowns = 0;
+  // One query through `solver`'s scope protocol; the temp scope, if any, is
+  // opened here only for one-shot (fresh) solvers.
+  auto run = [&](Solver* solver, bool fresh, std::vector<ExprRef>* core) {
+    if (fresh && !temp_clauses.empty()) {
+      solver->Push();
+      for (const auto& clause : temp_clauses) {
+        solver->AddTempClause(clause);
+      }
+    }
+    solver->Push();
+    for (ExprRef c : path) {
+      solver->Assume(c);
+    }
+    SolveResult r = solver->SolveAssuming();
+    *core = solver->final_conflict();
+    solver->Pop();
+    if (fresh && !temp_clauses.empty()) {
+      solver->Pop();
+    }
+    return r;
+  };
+  auto check = [&](const SolveResult& r, const std::vector<ExprRef>& core, const char* who,
+                   int step) {
+    SCOPED_TRACE(::testing::Message() << who << " at step " << step);
+    if (r.verdict == Verdict::kUnsat) {
+      for (ExprRef c : core) {
+        EXPECT_NE(std::find(path.begin(), path.end(), c), path.end())
+            << who << ": core names a non-assumption at step " << step;
+      }
+      Solver::Options oracle_options;
+      oracle_options.clause_learning = false;
+      Solver alone(Solver::Limits{}, oracle_options);
+      std::vector<ExprRef> saved = path;
+      path = core;
+      std::vector<ExprRef> ignored;
+      EXPECT_EQ(run(&alone, /*fresh=*/true, &ignored).verdict, Verdict::kUnsat)
+          << who << ": core is satisfiable at step " << step;
+      path = std::move(saved);
+    } else if (r.verdict == Verdict::kSat) {
+      for (ExprRef c : path) {
+        EXPECT_EQ(EvalSkeleton(r.model, c), 1)
+            << who << ": model falsifies " << ExprPool::ToString(c) << " at step " << step;
+      }
+      for (const auto& clause : temp_clauses) {
+        int any = 0;
+        for (ExprRef l : clause) {
+          any = std::max(any, EvalSkeleton(r.model, l));
+        }
+        EXPECT_EQ(any, 1) << who << ": model falsifies a temporary clause at step " << step;
+      }
+      ExpectAtomsAgreeWithValues(r.model);
+    }
+  };
+
+  for (int step = 0; step < 120; ++step) {
+    const int op = rnd(10);
+    if (path.empty() || op < 5) {
+      path.push_back(conjunct());
+    } else if (op < 7) {
+      path.back() = pool.Not(path.back());
+    } else if (op < 9) {
+      path.resize(static_cast<size_t>(rnd(static_cast<int>(path.size()) + 1)));
+    } else if (temp_clauses.empty() || rnd(2) == 0) {
+      // Open a scope, or add to the open one: a clause added after a query
+      // meets a trail on which it may already be unit or conflicting.
+      std::vector<ExprRef> clause = {literal()};
+      if (rnd(3) != 0) {
+        clause.push_back(literal());
+      }
+      for (Solver* s : {&warm, &budgeted}) {
+        if (temp_clauses.empty()) {
+          s->Push();
+        }
+        s->AddTempClause(clause);
+      }
+      temp_clauses.push_back(std::move(clause));
+    } else {
+      temp_clauses.clear();
+      for (Solver* s : {&warm, &budgeted}) {
+        s->Pop();
+      }
+    }
+    std::vector<ExprRef> core;
+    Solver oracle(Solver::Limits{}, no_learn);
+    const Verdict expect = run(&oracle, /*fresh=*/true, &core).verdict;
+    ASSERT_NE(expect, Verdict::kUnknown);
+    Solver fresh;
+    SolveResult r = run(&fresh, /*fresh=*/true, &core);
+    ASSERT_EQ(r.verdict, expect) << "fresh CDCL diverges at seed " << GetParam() << " step " << step;
+    check(r, core, "fresh", step);
+    r = run(&warm, /*fresh=*/false, &core);
+    ASSERT_EQ(r.verdict, expect) << "warm CDCL diverges at seed " << GetParam() << " step " << step;
+    check(r, core, "warm", step);
+    assumptions_asked += static_cast<int64_t>(path.size() + (temp_clauses.empty() ? 0 : 1));
+    r = run(&budgeted, /*fresh=*/false, &core);
+    if (r.verdict == Verdict::kUnknown) {
+      ++unknowns;
+    } else {
+      ASSERT_EQ(r.verdict, expect) << "budgeted CDCL diverges at seed " << GetParam()
+                                   << " step " << step;
+      check(r, core, "budgeted", step);
+    }
+  }
+  // The warm solver re-placed fewer assumption levels than it was asked for.
+  EXPECT_LT(warm.stats().assumptions_placed, assumptions_asked);
+  EXPECT_GT(warm.stats().theory_conflicts, 0);
+  EXPECT_GT(unknowns, 0) << "the one-decision budget never ran out";
+}
+
+INSTANTIATE_TEST_SUITE_P(DepthFirstStreams, WarmPrefixStreamTest,
+                         ::testing::Range<uint64_t>(1, 13));
 
 // ---------------------------------------------------------------------------
 // Theory cores. Random literal sets over a small mixed vocabulary are
